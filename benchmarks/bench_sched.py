@@ -53,7 +53,12 @@ from repro.core import (
     RunReport,
     merge_checkpoint_states,
 )
-from repro.core.sched import load_shard_checkpoints, report_from_state
+from repro.core.sched import (
+    CellEstimate,
+    CostModel,
+    load_shard_checkpoints,
+    report_from_state,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _harness import make_benchmark_dataset  # noqa: E402
@@ -124,7 +129,15 @@ def _skewed_registries() -> tuple[AlgorithmRegistry, DatasetRegistry]:
     return algorithms, datasets
 
 
-def _run_grid(scheduler: str, **runner_kwargs) -> tuple[float, RunReport]:
+class _FlatCostModel(CostModel):
+    """Estimates every cell alike: ``lpt_order`` then keeps canonical
+    (FIFO) submission order, the baseline LPT is measured against."""
+
+    def estimate(self, algorithm, dataset, shape=None, category="miscellaneous"):
+        return CellEstimate(algorithm, dataset, 1.0, "heuristic")
+
+
+def _run_grid(**runner_kwargs) -> tuple[float, RunReport]:
     algorithms, datasets = _skewed_registries()
     runner = BenchmarkRunner(
         algorithms,
@@ -132,7 +145,6 @@ def _run_grid(scheduler: str, **runner_kwargs) -> tuple[float, RunReport]:
         n_folds=2,
         seed=0,
         workers=_WORKERS,
-        scheduler=scheduler,
         **runner_kwargs,
     )
     start = time.perf_counter()
@@ -166,9 +178,9 @@ def _report_view(report: RunReport) -> dict:
 def _makespan_benchmarks(repeats: int, ops: dict) -> None:
     fifo_samples, lpt_samples = [], []
     for _ in range(repeats):
-        elapsed, _ = _run_grid("fifo")
+        elapsed, _ = _run_grid(cost_model=_FlatCostModel())
         fifo_samples.append(elapsed)
-        elapsed, _ = _run_grid("lpt")
+        elapsed, _ = _run_grid()
         lpt_samples.append(elapsed)
     fifo = statistics.median(fifo_samples)
     lpt = statistics.median(lpt_samples)
@@ -226,7 +238,7 @@ def _fresh_dir(path: Path) -> Path:
 
 
 def _shard_benchmarks(work_dir: Path, results: dict) -> None:
-    _, serial_report = _run_grid("lpt")
+    _, serial_report = _run_grid()
     reference = _report_view(serial_report)
 
     # Two cooperating shards, no stealing: each runs exactly its bin.

@@ -209,20 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
             "evaluate up to N grid cells in parallel worker processes "
             "(default 1 = serial), or 'auto' to match the cores this "
             "process may actually use (sched_getaffinity; clamps to 1 "
-            "on a 1-core box instead of oversubscribing); results and "
-            "checkpoints are merged in canonical order, identical to a "
-            "serial run"
-        ),
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("lpt", "fifo"),
-        default="lpt",
-        help=(
-            "parallel dispatch policy: lpt (default) starts the "
-            "longest-estimated cells first using the cost model; fifo "
-            "submits in canonical grid order (artifacts are identical "
-            "either way)"
+            "on a 1-core box instead of oversubscribing); cells start "
+            "longest-estimated first, and results and checkpoints are "
+            "committed in canonical order, identical to a serial run"
         ),
     )
     parser.add_argument(
@@ -380,7 +369,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
             checkpoint_path=arguments.checkpoint,
             resume_from=arguments.checkpoint if arguments.resume else None,
             workers=arguments.workers,
-            scheduler=arguments.scheduler,
             shard=arguments.shard,
             shard_steal=not arguments.no_steal,
             # The runner cannot see the scale factor or registry profile,
@@ -415,7 +403,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             )
         else:
             report = runner.run(arguments.algorithms, arguments.datasets)
-    except CheckpointError as error:
+    except (CheckpointError, ConfigurationError) as error:
         print(f"error: {error}", file=out)
         return 2
     if arguments.shard is not None:

@@ -18,30 +18,38 @@ an append-only JSONL file as it completes, and ``resume_from=`` restores
 a killed run, skipping finished cells (see
 :mod:`repro.core.checkpoint`).
 
-Parallelism: ``workers > 1`` schedules cells onto a fork-based
-``ProcessPoolExecutor``. Datasets are loaded once in the parent; each
-worker runs the identical crash-isolation/retry/budget attempt loop as
-serial mode, records its spans on a private tracer, and ships the
-outcome plus serialised spans back. The parent merges outcomes in
-canonical grid order (dataset-major, registry algorithm order), writing
-report entries and checkpoint lines in exactly the order serial mode
-would — a parallel run's report and checkpoint are byte-identical to a
-serial run's (modulo wall-clock timings). Worker span trees are stitched
-under the parent's grid span via :meth:`repro.obs.trace.Tracer
-.adopt_spans`. If the pool breaks (a worker died hard), the remaining
-cells fall back to in-parent serial execution.
+Every run goes through one plan -> dispatch -> commit pipeline:
 
-Scheduling: parallel submission order is chosen by the cost model in
-:mod:`repro.core.sched` — longest-estimated-first (LPT) by default, so
-the skewed grid's expensive cells start before the cheap ones pack the
-tail (``scheduler="fifo"`` keeps canonical submission order for A/B
-measurement). Because the commit loop above is untouched, the schedule
-changes only *when* cells execute, never what the artifacts contain.
-``workers="auto"`` sizes the pool to the cores this process is actually
-allowed to use. ``shard="i/n"`` (with a checkpoint *directory*) runs one
-cost-balanced bin of the grid, stealing unclaimed cells from sibling
-shards when its own bin drains — see :meth:`BenchmarkRunner._run_sharded`
-and ``etsc-bench merge-checkpoints``.
+* **Plan.** Every requested name is checked against the registries (an
+  unknown one raises :class:`~repro.exceptions.ConfigurationError`
+  before anything runs), a resumed checkpoint's outcomes are restored,
+  and the cells left to run become a *plan*: the ordered list of cells
+  to commit. A plain run plans the pending grid in canonical order
+  (dataset-major, registry algorithm order). ``shard="i/n"`` (with a
+  checkpoint *directory*) plans the cells of its cost-balanced bin it
+  could claim, then a second plan of unclaimed cells stolen from
+  sibling bins (see :mod:`repro.core.sched` and ``etsc-bench
+  merge-checkpoints``). Only a run that schedules — ``workers > 1`` or
+  a shard — loads its datasets up front and carries per-cell cost
+  estimates; a serial run makes none and emits no ``sched_*`` events.
+* **Dispatch.** By default each cell executes in-process when the
+  commit loop reaches it, so a serial run loads a dataset only when it
+  gets there. With ``workers > 1`` and at least two cells pending, the
+  plan's cells are submitted to a fork-based ``ProcessPoolExecutor``
+  longest-estimated-first (LPT): workers inherit the loaded datasets,
+  run the same attempt loop on a private tracer, and ship the outcome
+  plus serialised spans back. If the pool breaks (a worker died hard),
+  the affected cells re-run in the parent. ``workers="auto"`` sizes the
+  pool to the cores this process is allowed to use.
+* **Commit.** One loop records each cell — report entry, checkpoint
+  line, metrics, progress, ``sched_cell`` event — in plan order, and
+  stitches worker span trees under the grid span via
+  :meth:`repro.obs.trace.Tracer.adopt_spans`. The schedule changes only
+  *when* cells execute, never what is written, so a pool run's report
+  and checkpoint are byte-identical to a serial run's (modulo
+  wall-clock timings). A checkpoint file holds each dataset's line
+  once, written just before that dataset's first committed cell; a
+  resumed file does not repeat it.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -89,6 +97,7 @@ from .sched import (
     partition_cells,
     resolve_workers,
     shard_checkpoint_path,
+    write_canonical_checkpoint,
 )
 from .timeouts import time_limit
 
@@ -199,13 +208,15 @@ def aggregate_by_category(
     }
 
 
+
+
 @dataclass
 class _CellOutcome:
     """What one cell attempt loop produced (success or terminal failure).
 
     Separating the *attempt* (runs in a worker or the parent) from the
     *bookkeeping* (metrics, report, checkpoint, telemetry — always the
-    parent, always in canonical order) is what lets parallel runs merge
+    parent, always in plan order) is what lets pool runs commit
     deterministically.
     """
 
@@ -218,6 +229,36 @@ class _CellOutcome:
     elapsed: float
     retries: int
     cpu_seconds: float = 0.0
+
+
+@dataclass
+class _Plan:
+    """The cells one dispatch commits, in commit order.
+
+    ``estimates`` is set only when the run schedules (a pool or a shard);
+    only then are ``sched_cell`` events and ``sched.*`` metrics recorded.
+    """
+
+    cells: list[tuple[str, str]]
+    estimates: dict[tuple[str, str], CellEstimate] | None = None
+    stolen: bool = False
+
+
+@dataclass
+class _Grid:
+    """The state one :meth:`BenchmarkRunner.run` threads through its stages."""
+
+    report: RunReport
+    checkpoint: CheckpointWriter | None
+    telemetry: GridProgress
+    tracer: Any
+    span: Any
+    workers: int
+    datasets: dict[str, TimeSeriesDataset] = field(default_factory=dict)
+    #: ``{dataset: (reason, kind, attempts)}`` for terminal load failures.
+    load_failures: dict[str, tuple[str, str, int]] = field(
+        default_factory=dict
+    )
 
 
 #: Fork-inherited state for pool workers. Registries hold closures (not
@@ -311,14 +352,10 @@ class BenchmarkRunner:
         to the cores this process may actually run on
         (:func:`repro.core.pool.available_cores` — clamps to 1 on a
         1-core box instead of oversubscribing). Requires the ``fork``
-        start method (silently degrades to serial where unavailable);
-        results, checkpoint lines, and report contents are merged in
-        canonical grid order, identical to a serial run.
-    scheduler:
-        Parallel dispatch policy: ``"lpt"`` (default) submits cells
-        longest-estimated-first using the cost model; ``"fifo"`` submits
-        in canonical grid order. Serial runs ignore it. Artifacts are
-        schedule-independent either way.
+        start method (silently degrades to serial where unavailable).
+        Cells are submitted longest-estimated-first; results, checkpoint
+        lines, and report contents are committed in plan order,
+        identical to a serial run.
     shard:
         ``"i/n"`` (or a :class:`repro.core.sched.ShardSpec`) runs only
         the ``i``-th of ``n`` cost-balanced bins of the grid, writing to
@@ -332,8 +369,9 @@ class BenchmarkRunner:
         uncompleted cells from sibling bins (default ``True``).
     cost_model:
         The :class:`repro.core.sched.CostModel` estimating per-cell
-        durations. A fresh one is created when omitted; resume seeds it
-        with the checkpoint's recorded wall timings either way.
+        durations, which sets the pool's dispatch order. A fresh one is
+        created when omitted; resume seeds it with the checkpoint's
+        recorded wall timings either way.
 
     Tracing is picked up from the process-wide tracer
     (:func:`repro.obs.trace.get_tracer`) at :meth:`run` time; per-cell
@@ -358,17 +396,11 @@ class BenchmarkRunner:
         fault_injector: Callable[[str, str, str, int], None] | None = None,
         fingerprint_extra: dict | None = None,
         workers: int | str = 1,
-        scheduler: str = "lpt",
         shard: str | ShardSpec | None = None,
         shard_steal: bool = True,
         cost_model: CostModel | None = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        if scheduler not in ("lpt", "fifo"):
-            raise ConfigurationError(
-                f"scheduler must be 'lpt' or 'fifo', got {scheduler!r}"
-            )
-        self.scheduler = scheduler
         if isinstance(shard, str):
             shard = ShardSpec.parse(shard)
         self.shard = shard
@@ -431,18 +463,22 @@ class BenchmarkRunner:
         )
 
     def _open_checkpoint(
-        self, report: RunReport, fingerprint: dict
+        self,
+        report: RunReport,
+        fingerprint: dict,
+        path: str | os.PathLike | None,
+        resume_from: str | os.PathLike | None,
     ) -> tuple[CheckpointWriter | None, set[tuple[str, str]]]:
         """Restore a resumed run's state and open the checkpoint writer.
 
         Returns ``(writer, completed_keys)``; the writer is ``None`` when
-        checkpointing is off. Restored outcomes are copied into ``report``
-        before any cell runs.
+        ``path`` is. Restored outcomes are copied into ``report`` before
+        any cell runs.
         """
         completed: set[tuple[str, str]] = set()
         state = None
-        if self.resume_from is not None:
-            state = load_checkpoint(self.resume_from)
+        if resume_from is not None:
+            state = load_checkpoint(resume_from)
             state.validate_fingerprint(fingerprint)
             report.results.update(state.results)
             report.failures.update(state.failures)
@@ -453,45 +489,22 @@ class BenchmarkRunner:
             _logger.info(
                 "resuming from %s: %d cells already complete "
                 "(%d results, %d failures)",
-                self.resume_from,
+                resume_from,
                 len(completed),
                 len(state.results),
                 len(state.failures),
             )
-        path = self.checkpoint_path or self.resume_from
         if path is None:
             return None, completed
-        same_file = state is not None and os.path.realpath(
+        if state is not None and os.path.realpath(
             str(path)
-        ) == os.path.realpath(str(self.resume_from))
-        writer = CheckpointWriter(path, fingerprint, append=same_file)
-        if state is not None and not same_file:
+        ) != os.path.realpath(str(resume_from)):
             # Resuming into a fresh checkpoint file: re-record the
-            # restored outcomes so the new file stands alone.
-            for name, categories in state.categories.items():
-                writer.write_dataset(
-                    name, categories, state.frequencies.get(name)
-                )
-            for (algorithm, dataset), result in state.results.items():
-                timings = state.timings.get((algorithm, dataset), {})
-                writer.write_result(
-                    algorithm,
-                    dataset,
-                    result,
-                    wall_seconds=timings.get("wall_seconds"),
-                    cpu_seconds=timings.get("cpu_seconds"),
-                )
-            for (algorithm, dataset), reason in state.failures.items():
-                timings = state.timings.get((algorithm, dataset), {})
-                writer.write_failure(
-                    algorithm,
-                    dataset,
-                    reason,
-                    state.failure_kinds.get((algorithm, dataset), "permanent"),
-                    state.failure_attempts.get((algorithm, dataset), 1),
-                    wall_seconds=timings.get("wall_seconds"),
-                    cpu_seconds=timings.get("cpu_seconds"),
-                )
+            # restored outcomes (in canonical order) so it stands alone.
+            write_canonical_checkpoint(state, path)
+        writer = CheckpointWriter(
+            path, fingerprint, append=state is not None
+        )
         return writer, completed
 
     def _seed_cost_model(self, state) -> None:
@@ -514,28 +527,41 @@ class BenchmarkRunner:
     ) -> RunReport:
         """Evaluate the (sub)grid and return the aggregated report.
 
-        In shard mode (``shard="i/n"``) only this shard's bin (plus any
-        stolen cells) is evaluated and the returned report is partial —
-        merge the shard checkpoints (``etsc-bench merge-checkpoints`` or
+        An unknown algorithm or dataset name raises
+        :class:`repro.exceptions.ConfigurationError` listing the
+        registered names, before any cell runs. In shard mode
+        (``shard="i/n"``) only this shard's bin (plus any stolen cells)
+        is evaluated and the returned report is partial — merge the
+        shard checkpoints (``etsc-bench merge-checkpoints`` or
         :func:`repro.core.sched.merge_checkpoint_states`) for the
         canonical full report.
         """
-        report = RunReport()
         algorithm_names = algorithm_names or self.algorithms.names()
         dataset_names = dataset_names or self.datasets.names()
-        tracer = get_tracer()
-        if self.shard is not None:
-            return self._run_sharded(
-                report, algorithm_names, dataset_names, tracer
-            )
+        self._check_names(algorithm_names, dataset_names)
+        fingerprint = self.fingerprint(algorithm_names, dataset_names)
+        path: str | os.PathLike | None
+        if self.shard is None:
+            path = self.checkpoint_path or self.resume_from
+            resume_from = self.resume_from
+        else:
+            # A shard appends to shard-<i>.jsonl in the directory all
+            # shards share, resuming implicitly if the file exists.
+            directory = Path(self.checkpoint_path)
+            directory.mkdir(parents=True, exist_ok=True)
+            path = shard_checkpoint_path(directory, self.shard.index)
+            resume_from = path if path.exists() else None
+        report = RunReport()
         checkpoint, completed = self._open_checkpoint(
-            report, self.fingerprint(algorithm_names, dataset_names)
+            report, fingerprint, path, resume_from
         )
-        n_to_run = (
-            len(algorithm_names) * len(dataset_names) - len(completed)
-        )
-        telemetry = GridProgress(n_to_run, logger=_logger)
-        completion = self.metrics.gauge("grid_completion")
+        cells = [
+            (algorithm_name, dataset_name)
+            for dataset_name in dataset_names
+            for algorithm_name in algorithm_names
+        ]
+        pending = [key for key in cells if key not in completed]
+        tracer = get_tracer()
         workers = self._effective_workers()
         try:
             with tracer.span(
@@ -547,22 +573,39 @@ class BenchmarkRunner:
                 seed=self.seed,
                 resumed_cells=len(completed),
                 workers=workers,
-            ) as grid_span:
-                if workers > 1:
-                    self._run_parallel(
-                        report, algorithm_names, dataset_names, completed,
-                        tracer, grid_span, telemetry, checkpoint,
-                        completion, workers,
-                    )
+            ) as span:
+                grid = _Grid(
+                    report, checkpoint,
+                    GridProgress(len(pending), logger=_logger),
+                    tracer, span, workers,
+                )
+                if self.shard is None:
+                    plans: Iterable[_Plan] = [self._plan(grid, pending)]
                 else:
-                    self._run_serial(
-                        report, algorithm_names, dataset_names, completed,
-                        tracer, telemetry, checkpoint, completion,
+                    plans = self._shard_plans(
+                        grid, cells, pending, fingerprint, Path(path)
                     )
+                for plan in plans:
+                    self._dispatch(grid, plan)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
         return report
+
+    def _check_names(
+        self, algorithm_names: list[str], dataset_names: list[str]
+    ) -> None:
+        """Fail fast on a name neither registry knows."""
+        for kind, names, registry in (
+            ("algorithm", algorithm_names, self.algorithms),
+            ("dataset", dataset_names, self.datasets),
+        ):
+            unknown = [name for name in names if name not in registry]
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown {kind} name(s): {', '.join(unknown)} "
+                    f"(registered: {', '.join(registry.names())})"
+                )
 
     def _effective_workers(self) -> int:
         """Worker count after platform gating (fork-only parallelism)."""
@@ -577,226 +620,268 @@ class BenchmarkRunner:
             return 1
         return self.workers
 
-    def _run_serial(
-        self,
-        report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
-        completed: set[tuple[str, str]],
-        tracer,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-        completion,
-    ) -> None:
-        """The historical in-process grid loop."""
-        for dataset_name in dataset_names:
-            remaining = [
-                name
-                for name in algorithm_names
-                if (name, dataset_name) not in completed
-            ]
-            if not remaining:
-                continue
-            dataset = self._load_dataset(
-                dataset_name, remaining, report,
-                tracer, telemetry, checkpoint,
-            )
-            if dataset is None:
-                completion.set(telemetry.fraction_done)
-                continue
-            self._commit_dataset(report, dataset_name, dataset, checkpoint)
-            for algorithm_name in remaining:
-                self._run_cell(
-                    report, algorithm_name, dataset_name, dataset,
-                    tracer, telemetry, checkpoint,
-                )
-                completion.set(telemetry.fraction_done)
+    # ------------------------------------------------------------------
+    # Plan: which cells to commit, in which order (repro.core.sched).
 
-    def _run_parallel(
-        self,
-        report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
-        completed: set[tuple[str, str]],
-        tracer,
-        grid_span,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-        completion,
-        workers: int,
-    ) -> None:
-        """Fan cells out to a fork pool, merge in canonical grid order.
-
-        Datasets load in the parent (workers inherit them by fork, so
-        each is loaded exactly once); every pending cell is submitted up
-        front; outcomes are committed dataset-major in registry algorithm
-        order with all checkpoint/report writes deferred to this merge
-        loop — producing byte-identical artifacts to a serial run. A
-        broken pool (hard worker death) degrades the affected cells to
-        in-parent serial execution.
-        """
-        global _WORKER_STATE
-        datasets: dict[str, TimeSeriesDataset] = {}
-        load_failures: dict[str, tuple[str, str, int]] = {}
-        grid: list[tuple[str, list[str]]] = []
-        for dataset_name in dataset_names:
-            remaining = [
-                name
-                for name in algorithm_names
-                if (name, dataset_name) not in completed
-            ]
-            if not remaining:
-                continue
-            grid.append((dataset_name, remaining))
-            dataset, reason, kind, attempt = self._load_with_retries(
-                dataset_name, tracer
-            )
-            if dataset is None:
-                assert reason is not None and kind is not None
-                load_failures[dataset_name] = (reason, kind, attempt)
-            else:
-                datasets[dataset_name] = dataset
-        pending = [
-            (algorithm_name, dataset_name)
-            for dataset_name, remaining in grid
-            if dataset_name in datasets
-            for algorithm_name in remaining
-        ]
-        # Submission order is the schedule: the fork pool starts cells in
-        # the order they were submitted, so handing it the LPT order puts
-        # the expensive cells first. The commit loop below still walks the
-        # canonical grid — artifacts cannot observe the schedule.
-        estimates = self._cell_estimates(pending, datasets)
-        if self.scheduler == "lpt":
-            submit_order = lpt_order(
-                pending,
-                {key: est.seconds for key, est in estimates.items()},
-            )
-        else:
-            submit_order = list(pending)
-        grid_span.add_event(
+    def _plan(self, grid: _Grid, pending: list[tuple[str, str]]) -> _Plan:
+        """A plain run's plan: the pending grid in canonical order."""
+        if grid.workers == 1:
+            return _Plan(pending)
+        # Pool workers inherit the datasets by fork, so each is loaded
+        # exactly once, here, before any worker starts.
+        for dataset_name in dict.fromkeys(name for _, name in pending):
+            self._load(grid, dataset_name)
+        plan = _Plan(pending, self._cell_estimates(pending, grid.datasets))
+        grid.span.add_event(
             "sched_plan",
-            scheduler=self.scheduler,
             n_cells=len(pending),
-            workers=workers,
+            workers=grid.workers,
             estimated_total_seconds=sum(
-                est.seconds for est in estimates.values()
+                est.seconds for est in plan.estimates.values()
             ),
         )
-        _WORKER_STATE = {"runner": self, "datasets": datasets}
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, max(len(pending), 1)),
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        try:
-            futures = {
-                key: executor.submit(_evaluate_cell_worker, key)
-                for key in submit_order
-            }
-            for dataset_name, remaining in grid:
-                if dataset_name in load_failures:
-                    reason, kind, attempt = load_failures[dataset_name]
-                    self._commit_load_failure(
-                        report, remaining, dataset_name, reason, kind,
-                        attempt, telemetry, checkpoint,
-                    )
-                    completion.set(telemetry.fraction_done)
-                    continue
-                dataset = datasets[dataset_name]
-                self._commit_dataset(
-                    report, dataset_name, dataset, checkpoint
-                )
-                for algorithm_name in remaining:
-                    key = (algorithm_name, dataset_name)
-                    try:
-                        outcome, span_records = futures[key].result()
-                    except (BrokenProcessPool, OSError) as error:
-                        _logger.warning(
-                            "%s on %s: worker pool broke (%s); "
-                            "re-running the cell in the parent",
-                            algorithm_name, dataset_name, error,
-                        )
-                        span_records = []
-                        outcome = self._execute_cell(
-                            algorithm_name, dataset_name, dataset, tracer
-                        )
-                    if span_records and isinstance(tracer, Tracer):
-                        tracer.adopt_spans(
-                            span_records, parent_id=grid_span.span_id
-                        )
-                    self._commit_outcome(
-                        report, outcome, telemetry, checkpoint
-                    )
-                    self._record_sched(
-                        grid_span, outcome, estimates.get(key)
-                    )
-                    completion.set(telemetry.fraction_done)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-            _WORKER_STATE = None
+        return plan
 
-    def _commit_dataset(
+    def _shard_plans(
         self,
-        report: RunReport,
-        dataset_name: str,
-        dataset: TimeSeriesDataset,
-        checkpoint: CheckpointWriter | None,
-    ) -> None:
-        """Record a loaded dataset's categories/frequency (+ checkpoint)."""
-        report.categories[dataset_name] = self._categorize(dataset)
-        if dataset.frequency_seconds is not None:
-            report._frequencies[dataset_name] = dataset.frequency_seconds
-        if checkpoint is not None:
-            checkpoint.write_dataset(
-                dataset_name,
-                report.categories[dataset_name],
-                dataset.frequency_seconds,
+        grid: _Grid,
+        cells: list[tuple[str, str]],
+        pending: list[tuple[str, str]],
+        fingerprint: dict,
+        own_path: Path,
+    ) -> Iterator[_Plan]:
+        """A shard's plans: its claimed own-bin cells, then stolen ones.
+
+        Shards coordinate purely through atomic claim files — no locks,
+        no coordinator. A generator, so the steal plan is drawn up only
+        after the own-bin plan is committed.
+        """
+        shard = self.shard
+        assert shard is not None
+        grid.span.set_attribute("shard", str(shard))
+        # Load every dataset once: any bin's cells may execute here
+        # (stealing), and the partition heuristic needs the shapes.
+        for dataset_name in dict.fromkeys(name for _, name in cells):
+            self._load(grid, dataset_name)
+        # Partition on the *pure heuristic* over the full grid — never
+        # on recorded history — so every shard, whatever it has resumed
+        # or measured, derives identical bins. (Should shards still
+        # disagree — say a transient load failure hid a shape from one —
+        # the claim board keeps each cell single-run; only balance
+        # suffers.)
+        heuristics = {
+            (algorithm_name, dataset_name): self.cost_model.heuristic(
+                grid.datasets[dataset_name].values.shape
+                if dataset_name in grid.datasets
+                else None,
+                self.algorithms.get(algorithm_name).category,
             )
+            for algorithm_name, dataset_name in cells
+        }
+        own_bin = partition_cells(cells, heuristics, shard.count)[shard.index]
+        # Dispatch order may use the full cost model (history-calibrated);
+        # only the partition must stay history-free.
+        estimates = self._cell_estimates(cells, grid.datasets)
+        seconds = {key: est.seconds for key, est in estimates.items()}
+        todo = set(pending)
+        runnable = lpt_order([key for key in own_bin if key in todo], seconds)
+        claims = ClaimBoard(claims_directory(own_path.parent), shard.owner)
+        claimed = [key for key in runnable if claims.claim(*key)]
+        grid.span.add_event(
+            "sched_plan",
+            n_cells=len(claimed),
+            workers=grid.workers,
+            shard=str(shard),
+            bin_cells=len(own_bin),
+            estimated_total_seconds=sum(seconds[key] for key in claimed),
+        )
+        if len(claimed) < len(runnable):
+            _logger.info(
+                "shard %s: %d own-bin cells already claimed by siblings",
+                shard, len(runnable) - len(claimed),
+            )
+        yield _Plan(claimed, estimates)
+        if not self.shard_steal:
+            return
+        # Steal phase: everything outside our bin that nobody has
+        # completed or claimed, longest first — the point of stealing is
+        # to absorb a straggler sibling's expensive tail.
+        own = set(own_bin)
+        sibling_done = self._sibling_completed(own_path, fingerprint)
+        candidates = lpt_order(
+            [
+                key
+                for key in pending
+                if key not in own and key not in sibling_done
+            ],
+            seconds,
+        )
+        stolen = [
+            key
+            for key in candidates
+            if not claims.claimed_by_other(*key) and claims.claim(*key)
+        ]
+        if stolen:
+            self.progress(
+                f"shard {shard}: stealing {len(stolen)} unclaimed "
+                f"cells from sibling bins"
+            )
+            _logger.info(
+                "shard %s stealing %d unclaimed cells", shard, len(stolen)
+            )
+        yield _Plan(stolen, estimates, stolen=True)
 
-    def _load_dataset(
+    def _sibling_completed(
+        self, own_path: Path, fingerprint: dict
+    ) -> set[tuple[str, str]]:
+        """Cells sibling shard checkpoints already have outcomes for."""
+        done: set[tuple[str, str]] = set()
+        for path in find_shard_checkpoints(own_path.parent):
+            if path == own_path:
+                continue
+            try:
+                state = load_checkpoint(path)
+                state.validate_fingerprint(fingerprint)
+            except CheckpointError as error:
+                _logger.warning(
+                    "ignoring sibling checkpoint %s: %s", path, error
+                )
+                continue
+            done |= state.completed_keys()
+        return done
+
+    def _cell_estimates(
         self,
-        dataset_name: str,
-        algorithm_names: list[str],
-        report: RunReport,
-        tracer,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-    ) -> TimeSeriesDataset | None:
+        cells: list[tuple[str, str]],
+        datasets: dict[str, TimeSeriesDataset],
+    ) -> dict[tuple[str, str], CellEstimate]:
+        """Estimate every cell's duration (attaching loaded shapes)."""
+        estimates: dict[tuple[str, str], CellEstimate] = {}
+        for algorithm_name, dataset_name in cells:
+            dataset = datasets.get(dataset_name)
+            shape = dataset.values.shape if dataset is not None else None
+            if shape is not None:
+                self.cost_model.attach_shape(dataset_name, shape)
+            estimates[(algorithm_name, dataset_name)] = (
+                self.cost_model.estimate(
+                    algorithm_name,
+                    dataset_name,
+                    shape,
+                    self.algorithms.get(algorithm_name).category,
+                )
+            )
+        return estimates
+
+    # ------------------------------------------------------------------
+    # Dispatch and commit.
+
+    def _dispatch(self, grid: _Grid, plan: _Plan) -> None:
+        """Run a plan's cells, committing each in plan order.
+
+        In-process, a cell executes when the commit loop reaches it. With
+        ``workers > 1`` and at least two loaded cells, those cells are
+        all submitted to a fork pool up front, longest estimate first
+        (the pool starts cells in submission order); the commit loop
+        then waits on each in plan order, so the artifacts cannot
+        observe the schedule.
+        """
+        global _WORKER_STATE
+        futures: dict[tuple[str, str], Any] = {}
+        executor = None
+        if grid.workers > 1:
+            poolable = [key for key in plan.cells if key[1] in grid.datasets]
+            if len(poolable) > 1:
+                assert plan.estimates is not None
+                seconds = {
+                    key: est.seconds for key, est in plan.estimates.items()
+                }
+                _WORKER_STATE = {"runner": self, "datasets": grid.datasets}
+                executor = ProcessPoolExecutor(
+                    max_workers=min(grid.workers, len(poolable)),
+                    mp_context=multiprocessing.get_context("fork"),
+                )
+                futures = {
+                    key: executor.submit(_evaluate_cell_worker, key)
+                    for key in lpt_order(poolable, seconds)
+                }
+        completion = self.metrics.gauge("grid_completion")
+        try:
+            for key in plan.cells:
+                self._commit_cell(grid, plan, key, futures.get(key))
+                completion.set(grid.telemetry.fraction_done)
+        finally:
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+                _WORKER_STATE = None
+
+    def _commit_cell(
+        self,
+        grid: _Grid,
+        plan: _Plan,
+        key: tuple[str, str],
+        future: Any,
+    ) -> None:
+        """Obtain one cell's outcome and record it everywhere it belongs."""
+        algorithm_name, dataset_name = key
+        if (
+            dataset_name not in grid.datasets
+            and dataset_name not in grid.load_failures
+        ):
+            # Only in-process runs load lazily; they hold one dataset at
+            # a time, as the plan visits datasets in turn.
+            grid.datasets.clear()
+            self._load(grid, dataset_name)
+        dataset = grid.datasets.get(dataset_name)
+        if dataset is None:
+            self._commit_load_failure(grid, key)
+            return
+        if dataset_name not in grid.report.categories:
+            self._commit_dataset(grid, dataset_name, dataset)
+        self.metrics.counter("cells_total").inc()
+        grid.telemetry.started(algorithm_name, dataset_name)
+        outcome = None
+        if future is not None:
+            try:
+                outcome, span_records = future.result()
+            except (BrokenProcessPool, OSError) as error:
+                _logger.warning(
+                    "%s on %s: worker pool broke (%s); "
+                    "re-running the cell in the parent",
+                    algorithm_name, dataset_name, error,
+                )
+            else:
+                if span_records and isinstance(grid.tracer, Tracer):
+                    grid.tracer.adopt_spans(
+                        span_records, parent_id=grid.span.span_id
+                    )
+        if outcome is None:
+            outcome = self._execute_cell(
+                algorithm_name, dataset_name, dataset, grid.tracer
+            )
+        self._commit_outcome(grid, outcome)
+        if plan.estimates is not None:
+            self._record_sched(grid, outcome, plan.estimates[key], plan.stolen)
+
+    def _load(self, grid: _Grid, dataset_name: str) -> None:
         """Load a dataset under crash isolation and the retry policy.
 
-        A terminal failure (corrupt file, missing generator, retry
-        exhaustion) records one failure per remaining cell of the dataset
-        — the grid keeps going — and returns ``None``.
-        """
-        dataset, reason, kind, attempt = self._load_with_retries(
-            dataset_name, tracer
-        )
-        if dataset is None:
-            assert reason is not None and kind is not None
-            self._commit_load_failure(
-                report, algorithm_names, dataset_name, reason, kind,
-                attempt, telemetry, checkpoint,
-            )
-        return dataset
-
-    def _load_with_retries(
-        self, dataset_name: str, tracer
-    ) -> tuple[TimeSeriesDataset | None, str | None, str | None, int]:
-        """The load attempt loop: ``(dataset, reason, kind, attempts)``.
-
-        Span-side recording only — terminal-failure bookkeeping (report,
-        checkpoint, telemetry) is the caller's job, so parallel runs can
-        defer it to the canonical-order merge.
+        The dataset lands in ``grid.datasets``; a terminal failure
+        (corrupt file, generator bug, retry exhaustion) lands in
+        ``grid.load_failures`` instead, to be committed as one failure
+        per cell of the dataset — the grid keeps going.
         """
         policy = self.retry_policy
         attempt = 0
-        with tracer.span("load", dataset=dataset_name) as span:
+        with grid.tracer.span("load", dataset=dataset_name) as span:
             while True:
                 attempt += 1
                 try:
                     if self.fault_injector is not None:
                         self.fault_injector("load", "", dataset_name, attempt)
-                    return self.datasets.load(dataset_name), None, None, attempt
+                    grid.datasets[dataset_name] = self.datasets.load(
+                        dataset_name
+                    )
+                    return
                 except Exception as error:
                     kind = policy.classify(error)
                     reason = failure_reason(error)
@@ -829,62 +914,41 @@ class BenchmarkRunner:
                         "traceback", format_traceback(error)
                     )
                     self.metrics.counter("datasets_failed").inc()
-                    return None, reason, kind, attempt
+                    grid.load_failures[dataset_name] = (reason, kind, attempt)
+                    return
+
+    def _commit_dataset(
+        self, grid: _Grid, dataset_name: str, dataset: TimeSeriesDataset
+    ) -> None:
+        """Record a loaded dataset's categories/frequency (+ checkpoint)."""
+        report = grid.report
+        report.categories[dataset_name] = self._categorize(dataset)
+        if dataset.frequency_seconds is not None:
+            report._frequencies[dataset_name] = dataset.frequency_seconds
+        if grid.checkpoint is not None:
+            grid.checkpoint.write_dataset(
+                dataset_name,
+                report.categories[dataset_name],
+                dataset.frequency_seconds,
+            )
 
     def _commit_load_failure(
-        self,
-        report: RunReport,
-        algorithm_names: list[str],
-        dataset_name: str,
-        reason: str,
-        kind: str,
-        attempt: int,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
+        self, grid: _Grid, key: tuple[str, str]
     ) -> None:
-        """Record one failure per cell of a dataset that failed to load."""
+        """Record a cell whose dataset failed to load."""
+        algorithm_name, dataset_name = key
+        reason, kind, attempts = grid.load_failures[dataset_name]
         cell_reason = f"dataset load failed: {reason}"
-        for algorithm_name in algorithm_names:
-            self.metrics.counter("cells_total").inc()
-            self.metrics.counter("cells_failed").inc()
-            report.failures[(algorithm_name, dataset_name)] = cell_reason
-            if checkpoint is not None:
-                checkpoint.write_failure(
-                    algorithm_name, dataset_name,
-                    cell_reason, kind, attempt,
-                )
-            telemetry.failed(
-                algorithm_name, dataset_name, 0.0, cell_reason
-            )
-            self.progress(
-                f"{algorithm_name} on {dataset_name}: "
-                f"FAILED ({cell_reason})"
-            )
-
-    def _run_cell(
-        self,
-        report: RunReport,
-        algorithm_name: str,
-        dataset_name: str,
-        dataset: TimeSeriesDataset,
-        tracer,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None = None,
-    ) -> None:
-        """One (algorithm, dataset) pair: evaluate, record, report.
-
-        Crash-isolated: any exception (not just ``ReproError``) is
-        caught, classified, and recorded as a failure; transient failures
-        are retried under the runner's :class:`RetryPolicy`; the grid
-        never aborts because of one bad cell.
-        """
         self.metrics.counter("cells_total").inc()
-        telemetry.started(algorithm_name, dataset_name)
-        outcome = self._execute_cell(
-            algorithm_name, dataset_name, dataset, tracer
-        )
-        self._commit_outcome(
-            report, outcome, telemetry, checkpoint, announce=False
+        self.metrics.counter("cells_failed").inc()
+        grid.report.failures[key] = cell_reason
+        if grid.checkpoint is not None:
+            grid.checkpoint.write_failure(
+                algorithm_name, dataset_name, cell_reason, kind, attempts
+            )
+        grid.telemetry.failed(algorithm_name, dataset_name, 0.0, cell_reason)
+        self.progress(
+            f"{algorithm_name} on {dataset_name}: FAILED ({cell_reason})"
         )
 
     def _execute_cell(
@@ -894,14 +958,14 @@ class BenchmarkRunner:
         dataset: TimeSeriesDataset,
         tracer,
     ) -> _CellOutcome:
-        """The cell attempt loop, shared by serial mode and pool workers.
+        """The cell attempt loop, shared by in-process runs and pool workers.
 
         Runs fault injection, the paper's kill rule, and the retry policy
         inside a ``cell`` span, recording attempt events and terminal
         status on the span. Everything observable outside the span — the
         report entry, checkpoint line, metrics, telemetry — is described
         by the returned :class:`_CellOutcome` and committed by the
-        caller, so parallel runs commit in canonical order.
+        commit loop, in plan order whatever the schedule.
         """
         info = self.algorithms.get(algorithm_name)
         policy = self.retry_policy
@@ -930,6 +994,7 @@ class BenchmarkRunner:
                             n_folds=self.n_folds,
                             seed=self.seed,
                         )
+                    reason = kind = None
                     break
                 except Exception as error:
                     kind = policy.classify(error)
@@ -955,75 +1020,44 @@ class BenchmarkRunner:
                             attempt + 1, policy.max_attempts, delay,
                         )
                         continue
-                    elapsed = time.perf_counter() - start
-                    cpu_seconds = time.process_time() - cpu_start
-                    timeout = kind == TIMEOUT
-                    cell_span.set_status("timeout" if timeout else "error")
-                    cell_span.set_attribute("reason", reason)
-                    cell_span.set_attribute("failure_kind", kind)
-                    cell_span.set_attribute("attempts", attempt)
+                    cell_span.set_status(
+                        "timeout" if kind == TIMEOUT else "error"
+                    )
                     cell_span.set_attribute(
                         "traceback", format_traceback(error)
                     )
-                    return _CellOutcome(
-                        algorithm=algorithm_name,
-                        dataset=dataset_name,
-                        result=None,
-                        reason=reason,
-                        kind=kind,
-                        attempts=attempt,
-                        elapsed=elapsed,
-                        retries=retries,
-                        cpu_seconds=cpu_seconds,
-                    )
+                    result = None
+                    break
             elapsed = time.perf_counter() - start
             cpu_seconds = time.process_time() - cpu_start
-            cell_span.set_attribute("seconds", elapsed)
-            cell_span.set_attribute("attempts", attempt)
-            if elapsed > self.time_budget_seconds:
-                # Cooperative after-the-fact budget check (degraded
-                # no-SIGALRM mode): classified timeout, never retried.
-                reason = f"exceeded time budget ({elapsed:.1f}s)"
-                cell_span.set_status("timeout")
+            if result is not None:
+                cell_span.set_attribute("seconds", elapsed)
+                if elapsed > self.time_budget_seconds:
+                    # Cooperative after-the-fact budget check (degraded
+                    # no-SIGALRM mode): classified timeout, never retried.
+                    result, kind = None, TIMEOUT
+                    reason = f"exceeded time budget ({elapsed:.1f}s)"
+                    cell_span.set_status("timeout")
+            if result is None:
                 cell_span.set_attribute("reason", reason)
-                cell_span.set_attribute("failure_kind", TIMEOUT)
-                cell_span.set_attribute("attempts", attempt)
-                return _CellOutcome(
-                    algorithm=algorithm_name,
-                    dataset=dataset_name,
-                    result=None,
-                    reason=reason,
-                    kind=TIMEOUT,
-                    attempts=attempt,
-                    elapsed=elapsed,
-                    retries=retries,
-                    cpu_seconds=cpu_seconds,
-                )
+                cell_span.set_attribute("failure_kind", kind)
+            cell_span.set_attribute("attempts", attempt)
             return _CellOutcome(
                 algorithm=algorithm_name,
                 dataset=dataset_name,
                 result=result,
-                reason=None,
-                kind=None,
+                reason=reason,
+                kind=kind,
                 attempts=attempt,
                 elapsed=elapsed,
                 retries=retries,
                 cpu_seconds=cpu_seconds,
             )
 
-    def _commit_outcome(
-        self,
-        report: RunReport,
-        outcome: _CellOutcome,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-        announce: bool = True,
-    ) -> None:
+    def _commit_outcome(self, grid: _Grid, outcome: _CellOutcome) -> None:
         """Record a cell outcome everywhere it must appear (parent only)."""
         algorithm_name, dataset_name = outcome.algorithm, outcome.dataset
-        if announce:
-            self.metrics.counter("cells_total").inc()
-            telemetry.started(algorithm_name, dataset_name)
+        report, checkpoint = grid.report, grid.checkpoint
         # Feed the measurement back so later estimates for this cell (and
         # this algorithm's calibration factor) come from reality.
         self.cost_model.record(
@@ -1046,7 +1080,7 @@ class BenchmarkRunner:
                     wall_seconds=outcome.elapsed,
                     cpu_seconds=outcome.cpu_seconds,
                 )
-            telemetry.failed(
+            grid.telemetry.failed(
                 algorithm_name, dataset_name, outcome.elapsed,
                 outcome.reason, timeout=timeout,
             )
@@ -1065,7 +1099,7 @@ class BenchmarkRunner:
         self.metrics.counter("cells_completed").inc()
         self.metrics.timer("cell_seconds").observe(outcome.elapsed)
         detail = f"acc={result.accuracy:.3f} hm={result.harmonic_mean:.3f}"
-        telemetry.finished(
+        grid.telemetry.finished(
             algorithm_name, dataset_name, outcome.elapsed, detail
         )
         self.progress(
@@ -1075,37 +1109,12 @@ class BenchmarkRunner:
             f"({outcome.elapsed:.1f}s)"
         )
 
-    # ------------------------------------------------------------------
-    # Cost-model scheduling and checkpoint shards (repro.core.sched).
-
-    def _cell_estimates(
-        self,
-        cells: list[tuple[str, str]],
-        datasets: dict[str, TimeSeriesDataset],
-    ) -> dict[tuple[str, str], CellEstimate]:
-        """Estimate every cell's duration (attaching loaded shapes)."""
-        estimates: dict[tuple[str, str], CellEstimate] = {}
-        for algorithm_name, dataset_name in cells:
-            dataset = datasets.get(dataset_name)
-            shape = dataset.values.shape if dataset is not None else None
-            if shape is not None:
-                self.cost_model.attach_shape(dataset_name, shape)
-            estimates[(algorithm_name, dataset_name)] = (
-                self.cost_model.estimate(
-                    algorithm_name,
-                    dataset_name,
-                    shape,
-                    self.algorithms.get(algorithm_name).category,
-                )
-            )
-        return estimates
-
     def _record_sched(
         self,
-        grid_span,
+        grid: _Grid,
         outcome: _CellOutcome,
-        estimate: CellEstimate | None,
-        stolen: bool = False,
+        estimate: CellEstimate,
+        stolen: bool,
     ) -> None:
         """Scheduler telemetry for one committed cell.
 
@@ -1114,8 +1123,6 @@ class BenchmarkRunner:
         .metrics_from_spans` recomputes exactly the live numbers from a
         trace (the rollup==live parity contract).
         """
-        if estimate is None:
-            return
         error_pct = (
             abs(outcome.elapsed - estimate.seconds)
             / max(estimate.seconds, 1e-9)
@@ -1125,7 +1132,7 @@ class BenchmarkRunner:
         if stolen:
             self.metrics.counter("sched.steals").inc()
         self.metrics.timer("sched.estimate_error_pct").observe(error_pct)
-        grid_span.add_event(
+        grid.span.add_event(
             "sched_cell",
             algorithm=outcome.algorithm,
             dataset=outcome.dataset,
@@ -1135,290 +1142,3 @@ class BenchmarkRunner:
             source=estimate.source,
             stolen=stolen,
         )
-
-    def _run_sharded(
-        self,
-        report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
-        tracer,
-    ) -> RunReport:
-        """Run this shard's cost-balanced bin of the grid, then steal.
-
-        ``checkpoint_path`` is a directory shared by every shard; this
-        shard appends to ``shard-<i>.jsonl`` in it (resuming implicitly
-        if the file exists) and coordinates with siblings purely through
-        atomic claim files — no locks, no coordinator. The returned
-        report covers this shard's cells only; ``etsc-bench
-        merge-checkpoints`` rebuilds the canonical single artifact.
-        """
-        shard = self.shard
-        assert shard is not None
-        directory = Path(self.checkpoint_path)
-        directory.mkdir(parents=True, exist_ok=True)
-        fingerprint = self.fingerprint(algorithm_names, dataset_names)
-        own_path = shard_checkpoint_path(directory, shard.index)
-        completed: set[tuple[str, str]] = set()
-        append = own_path.exists()
-        if append:
-            state = load_checkpoint(own_path)
-            state.validate_fingerprint(fingerprint)
-            report.results.update(state.results)
-            report.failures.update(state.failures)
-            report.categories.update(state.categories)
-            report._frequencies.update(state.frequencies)
-            completed = state.completed_keys()
-            self._seed_cost_model(state)
-            _logger.info(
-                "shard %s resuming from %s: %d cells already complete",
-                shard, own_path, len(completed),
-            )
-        claims = ClaimBoard(claims_directory(directory), shard.owner)
-        checkpoint = CheckpointWriter(own_path, fingerprint, append=append)
-        all_cells = [
-            (algorithm_name, dataset_name)
-            for dataset_name in dataset_names
-            for algorithm_name in algorithm_names
-        ]
-        telemetry = GridProgress(len(all_cells), logger=_logger)
-        completion = self.metrics.gauge("grid_completion")
-        workers = self._effective_workers()
-        try:
-            with tracer.span(
-                "grid",
-                n_algorithms=len(algorithm_names),
-                n_datasets=len(dataset_names),
-                n_folds=self.n_folds,
-                time_budget_seconds=self.time_budget_seconds,
-                seed=self.seed,
-                resumed_cells=len(completed),
-                workers=workers,
-                shard=str(shard),
-            ) as grid_span:
-                self._run_shard_grid(
-                    report, all_cells, dataset_names, completed,
-                    directory, own_path, fingerprint, claims, checkpoint,
-                    telemetry, completion, tracer, grid_span, workers,
-                    shard,
-                )
-        finally:
-            checkpoint.close()
-        return report
-
-    def _run_shard_grid(
-        self,
-        report: RunReport,
-        all_cells: list[tuple[str, str]],
-        dataset_names: list[str],
-        completed: set[tuple[str, str]],
-        directory: Path,
-        own_path: Path,
-        fingerprint: dict,
-        claims: ClaimBoard,
-        checkpoint: CheckpointWriter,
-        telemetry: GridProgress,
-        completion,
-        tracer,
-        grid_span,
-        workers: int,
-        shard: ShardSpec,
-    ) -> None:
-        """Shard body: load, partition, run own bin, steal the rest."""
-        # Load every dataset once: any bin's cells may execute here
-        # (stealing), and the partition heuristic needs the shapes.
-        datasets: dict[str, TimeSeriesDataset] = {}
-        load_failures: dict[str, tuple[str, str, int]] = {}
-        for dataset_name in dataset_names:
-            dataset, reason, kind, attempt = self._load_with_retries(
-                dataset_name, tracer
-            )
-            if dataset is None:
-                assert reason is not None and kind is not None
-                load_failures[dataset_name] = (reason, kind, attempt)
-            else:
-                datasets[dataset_name] = dataset
-                self.cost_model.attach_shape(
-                    dataset_name, dataset.values.shape
-                )
-        # Partition on the *pure heuristic* over the full grid — never
-        # on recorded history — so every shard, whatever it has resumed
-        # or measured, derives identical bins. (Should shards still
-        # disagree — say a transient load failure hid a shape from one —
-        # the claim board keeps each cell single-run; only balance
-        # suffers.)
-        heuristics = {
-            (algorithm_name, dataset_name): self.cost_model.heuristic(
-                datasets[dataset_name].values.shape
-                if dataset_name in datasets
-                else None,
-                self.algorithms.get(algorithm_name).category,
-            )
-            for algorithm_name, dataset_name in all_cells
-        }
-        bins = partition_cells(all_cells, heuristics, shard.count)
-        own_bin = bins[shard.index]
-        own_set = set(own_bin)
-        # Dispatch order within the shard may use the full cost model
-        # (history-calibrated); only the partition must stay history-free.
-        estimates = self._cell_estimates(all_cells, datasets)
-        seconds = {key: est.seconds for key, est in estimates.items()}
-        runnable = [key for key in own_bin if key not in completed]
-        if self.scheduler == "lpt":
-            runnable = lpt_order(runnable, seconds)
-        claimed = [key for key in runnable if claims.claim(*key)]
-        grid_span.add_event(
-            "sched_plan",
-            scheduler=self.scheduler,
-            n_cells=len(claimed),
-            workers=workers,
-            shard=str(shard),
-            bin_cells=len(own_bin),
-            estimated_total_seconds=sum(seconds[key] for key in claimed),
-        )
-        if len(claimed) < len(runnable):
-            _logger.info(
-                "shard %s: %d own-bin cells already claimed by siblings",
-                shard, len(runnable) - len(claimed),
-            )
-        self._execute_claimed(
-            claimed, datasets, load_failures, estimates, report,
-            checkpoint, telemetry, completion, tracer, grid_span,
-            workers, stolen=False,
-        )
-        if not self.shard_steal:
-            return
-        # Steal phase: everything outside our bin that nobody has
-        # completed or claimed, longest first — the point of stealing is
-        # to absorb a straggler sibling's expensive tail.
-        sibling_done = self._sibling_completed(
-            directory, own_path, fingerprint
-        )
-        candidates = [
-            key
-            for key in all_cells
-            if key not in own_set
-            and key not in completed
-            and key not in sibling_done
-        ]
-        if self.scheduler == "lpt":
-            candidates = lpt_order(candidates, seconds)
-        stolen = [
-            key
-            for key in candidates
-            if not claims.claimed_by_other(*key) and claims.claim(*key)
-        ]
-        if stolen:
-            self.progress(
-                f"shard {shard}: stealing {len(stolen)} unclaimed "
-                f"cells from sibling bins"
-            )
-            _logger.info(
-                "shard %s stealing %d unclaimed cells", shard, len(stolen)
-            )
-        self._execute_claimed(
-            stolen, datasets, load_failures, estimates, report,
-            checkpoint, telemetry, completion, tracer, grid_span,
-            workers, stolen=True,
-        )
-
-    def _sibling_completed(
-        self, directory: Path, own_path: Path, fingerprint: dict
-    ) -> set[tuple[str, str]]:
-        """Cells sibling shard checkpoints already have outcomes for."""
-        done: set[tuple[str, str]] = set()
-        for path in find_shard_checkpoints(directory):
-            if path == own_path:
-                continue
-            try:
-                state = load_checkpoint(path)
-                state.validate_fingerprint(fingerprint)
-            except CheckpointError as error:
-                _logger.warning(
-                    "ignoring sibling checkpoint %s: %s", path, error
-                )
-                continue
-            done |= state.completed_keys()
-        return done
-
-    def _execute_claimed(
-        self,
-        keys: list[tuple[str, str]],
-        datasets: dict[str, TimeSeriesDataset],
-        load_failures: dict[str, tuple[str, str, int]],
-        estimates: dict[tuple[str, str], CellEstimate],
-        report: RunReport,
-        checkpoint: CheckpointWriter,
-        telemetry: GridProgress,
-        completion,
-        tracer,
-        grid_span,
-        workers: int,
-        stolen: bool,
-    ) -> None:
-        """Run a batch of claimed cells (pool when ``workers > 1``).
-
-        Cells commit in the batch's dispatch order — the per-shard file
-        is not canonical; the merge step rebuilds canonical order.
-        Datasets announce lazily, once each, on first committed cell.
-        """
-        global _WORKER_STATE
-        poolable = [key for key in keys if key[1] in datasets]
-        executor = None
-        futures: dict[tuple[str, str], Any] = {}
-        if workers > 1 and len(poolable) > 1:
-            _WORKER_STATE = {"runner": self, "datasets": datasets}
-            executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(poolable)),
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            futures = {
-                key: executor.submit(_evaluate_cell_worker, key)
-                for key in poolable
-            }
-        try:
-            for key in keys:
-                algorithm_name, dataset_name = key
-                if dataset_name in load_failures:
-                    reason, kind, attempt = load_failures[dataset_name]
-                    self._commit_load_failure(
-                        report, [algorithm_name], dataset_name, reason,
-                        kind, attempt, telemetry, checkpoint,
-                    )
-                    completion.set(telemetry.fraction_done)
-                    continue
-                dataset = datasets[dataset_name]
-                if dataset_name not in report.categories:
-                    self._commit_dataset(
-                        report, dataset_name, dataset, checkpoint
-                    )
-                span_records: list[dict[str, Any]] = []
-                if key in futures:
-                    try:
-                        outcome, span_records = futures[key].result()
-                    except (BrokenProcessPool, OSError) as error:
-                        _logger.warning(
-                            "%s on %s: worker pool broke (%s); "
-                            "re-running the cell in the parent",
-                            algorithm_name, dataset_name, error,
-                        )
-                        span_records = []
-                        outcome = self._execute_cell(
-                            algorithm_name, dataset_name, dataset, tracer
-                        )
-                else:
-                    outcome = self._execute_cell(
-                        algorithm_name, dataset_name, dataset, tracer
-                    )
-                if span_records and isinstance(tracer, Tracer):
-                    tracer.adopt_spans(
-                        span_records, parent_id=grid_span.span_id
-                    )
-                self._commit_outcome(report, outcome, telemetry, checkpoint)
-                self._record_sched(
-                    grid_span, outcome, estimates.get(key), stolen=stolen
-                )
-                completion.set(telemetry.fraction_done)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-                _WORKER_STATE = None

@@ -254,13 +254,6 @@ class TestCliFlags:
         arguments = build_parser().parse_args(["--workers", "auto"])
         assert arguments.workers == "auto"
 
-    def test_scheduler_default_and_choices(self):
-        from repro.core.cli import build_parser
-
-        assert build_parser().parse_args([]).scheduler == "lpt"
-        parsed = build_parser().parse_args(["--scheduler", "fifo"])
-        assert parsed.scheduler == "fifo"
-
     def test_shard_flag_requires_checkpoint(self, capsys):
         from repro.core.cli import main
 
@@ -272,13 +265,6 @@ class TestCliFlags:
         assert (
             main(["--shard", "0/2", "--checkpoint", "x", "--resume"]) == 2
         )
-
-    def test_runner_rejects_bad_scheduler(self):
-        from repro.core import BenchmarkRunner
-
-        algorithms, datasets = _registries()
-        with pytest.raises(ConfigurationError):
-            BenchmarkRunner(algorithms, datasets, scheduler="random")
 
     def test_runner_rejects_shard_without_checkpoint(self):
         from repro.core import BenchmarkRunner
@@ -326,15 +312,13 @@ class TestSchedTelemetry:
         algorithms, datasets = _registries()
         tracer = Tracer()
         runner = BenchmarkRunner(
-            algorithms, datasets, n_folds=2, seed=0, workers=2,
-            scheduler="fifo",
+            algorithms, datasets, n_folds=2, seed=0, workers=2
         )
         with use_tracer(tracer):
             runner.run()
         grid = [s for s in tracer.finished_spans() if s.name == "grid"][0]
         plans = [e for e in grid.events if e["name"] == "sched_plan"]
         assert len(plans) == 1
-        assert plans[0]["attributes"]["scheduler"] == "fifo"
         assert plans[0]["attributes"]["n_cells"] == 6
 
     def test_serial_runs_emit_no_sched_events(self, frozen_clock):  # noqa: F811

@@ -28,6 +28,7 @@ counters recomputable from a trace via
 :func:`repro.obs.metrics.metrics_from_spans` (``docs/serving.md``).
 """
 
+from ..slo.harness import ShardRuntime, StreamDescriptor
 from .admission import AdmissionDecision, AdmissionQueue
 from .config import (
     SHED_DEGRADE,
@@ -39,7 +40,6 @@ from .config import (
 from .coordinator import run_fleet
 from .faults import FleetFaultPlan, parse_fleet_fault_specs
 from .report import FleetReport, ShardSummary
-from .shard import ShardRuntime, StreamDescriptor
 
 __all__ = [
     "AdmissionDecision",

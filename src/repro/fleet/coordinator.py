@@ -5,11 +5,15 @@ shard workers and commits their outcomes deterministically, extending
 the runner's execution/commitment split (PR 5) from one-shot grid cells
 to long-lived serving sessions:
 
-* **Execution** happens in shard workers. Each shard is one simulated
-  server (its own virtual clock); streams assigned to it replay in the
-  same canonical event order the single-server harness uses, so a
-  one-shard fleet reproduces :func:`repro.slo.harness.run_scenario`
-  stream for stream.
+* **Execution** happens in shard workers, each driving one
+  :class:`~repro.slo.harness.ShardRuntime` — the same runtime
+  :func:`repro.slo.harness.run_scenario` drives in-process over all
+  streams. Each shard is one simulated server (its own virtual clock),
+  so a one-shard fleet reproduces ``run_scenario`` stream for stream:
+  same decisions, consultations, deadline misses and ``serve.*``
+  counters. The two reports differ only in what they call makespan:
+  the fleet reports its maximum shard clock, the scenario report the
+  span from first arrival to last consultation.
 * **Commitment** happens here. A stream's records leave its shard only
   together with its final decision, so the parent can aggregate every
   total in ``global_index`` order regardless of which worker — or which
@@ -56,13 +60,20 @@ from ..core.streaming import LatencySummary, StreamingDecision
 from ..exceptions import ConfigurationError, ReproError
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
-from ..slo.harness import _environment, train_scenario_bundles
+from ..slo.harness import (
+    ShardRuntime,
+    StreamDescriptor,
+    _environment,
+    scenario_streams,
+    train_scenario_bundles,
+)
+from ..slo.report import summarize_responses
 from ..slo.scenario import CLOCK_VIRTUAL, Scenario
 from .admission import ADMITTED, DEGRADED, SHED, AdmissionQueue
 from .config import FleetConfig
 from .faults import FAULT_KILL, FleetFaultPlan
 from .report import FleetReport, ShardSummary
-from .shard import ShardRuntime, StreamDescriptor, set_shard_state, shard_main
+from .shard import set_shard_state, shard_main
 
 __all__ = ["run_fleet"]
 
@@ -191,13 +202,10 @@ def run_fleet(
     set_shard_state(scenario, bundles)
 
     # -- enumerate the requested streams deterministically --------------
-    streams: dict[int, _StreamState] = {}
-    global_index = 0
-    for spec_index, spec in enumerate(scenario.streams):
-        for i in range(spec.count):
-            descriptor = StreamDescriptor(global_index, spec_index, i)
-            streams[global_index] = _StreamState(descriptor)
-            global_index += 1
+    streams = {
+        descriptor.global_index: _StreamState(descriptor)
+        for descriptor in scenario_streams(scenario)
+    }
     n_requested = len(streams)
 
     # -- admission: every stream passes the bounded queue ---------------
@@ -494,12 +502,7 @@ def run_fleet(
     )
 
     deadline = scenario.deadline_seconds
-    latency = None
-    iqr = 0.0
-    if responses:
-        sample = np.asarray(responses, dtype=float)
-        latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
-        iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
+    latency, iqr = summarize_responses(responses, deadline)
     shard_summaries = [
         ShardSummary(
             shard=slot.index,

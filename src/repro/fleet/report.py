@@ -21,24 +21,11 @@ from typing import Any
 
 from ..core.streaming import LatencySummary, StreamingDecision
 from ..exceptions import ReproError
+from ..slo.report import _latency_dict, _round
 from ..slo.scenario import Scenario
 from .config import FleetConfig
 
 __all__ = ["ShardSummary", "FleetReport"]
-
-
-def _round(value: float, digits: int = 9) -> float:
-    """Stabilize floats for JSON round-trips and cross-run comparison."""
-    return round(float(value), digits)
-
-
-def _latency_dict(latency: LatencySummary | None) -> dict | None:
-    if latency is None:
-        return None
-    return {
-        key: (_round(value) if isinstance(value, float) else value)
-        for key, value in latency.as_dict().items()
-    }
 
 
 @dataclass

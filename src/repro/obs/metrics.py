@@ -260,11 +260,11 @@ def metrics_from_spans(spans: Iterable[Any]) -> MetricsRegistry:
             registry.timer("push_latency_seconds").observe(span.duration)
             # Serving-layer pushes annotate degraded consultations and
             # breaker transitions (see repro.serve); roll them up so a
-            # trace file alone answers the resilience questions. The SLO
-            # harness (repro.slo) additionally stamps each consultation's
-            # response time and deadline verdict on the push span, so a
-            # scenario report's SLO numbers are recomputable from the
-            # trace alone.
+            # trace file alone answers the resilience questions. The
+            # scenario replay runtime (repro.slo.harness.ShardRuntime)
+            # additionally stamps each consultation's response time and
+            # deadline verdict on the push span, so a scenario report's
+            # SLO numbers are recomputable from the trace alone.
             # Only decision-committing spans count: a breaker-open skip
             # mid-stream also stamps source="fallback" on its push span,
             # but the live serve.degraded_decisions counter increments

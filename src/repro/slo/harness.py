@@ -1,18 +1,24 @@
-"""Scenario replay: serve a configured workload and measure its SLOs.
+"""Scenario replay: one shard runtime, two drivers.
 
-The harness turns a :class:`~repro.slo.scenario.Scenario` into a replay
-through :class:`~repro.serve.session.GuardedStreamingSession`:
+:class:`ShardRuntime` is the only code that turns a
+:class:`~repro.slo.scenario.Scenario` into guarded sessions
+(:class:`~repro.serve.session.GuardedStreamingSession`) and replays
+them. It is one simulated server: every stream's per-point arrival
+timestamps come from the scenario's seeded arrival process and are
+replayed in one global order; a consultation starts at
+``max(arrival, server_free)`` and occupies the server for its service
+time, so bursts queue and queueing shows up in response latency —
+exactly the mechanism that makes real-time deadlines hard.
 
-1. Train each distinct (algorithm, dataset) pair once on its training
-   split; fit guard statistics and the fallback predictor from the same
-   split.
-2. Generate every stream's per-point arrival timestamps from the
-   scenario's seeded arrival process and merge them into one global
-   timeline.
-3. Replay the timeline through a single simulated server: a consultation
-   starts at ``max(arrival, server_free)`` and occupies the server for
-   its service time, so bursts queue and queueing shows up in response
-   latency — exactly the mechanism that makes real-time deadlines hard.
+Two drivers run it:
+
+* :func:`run_scenario` trains each distinct (algorithm, dataset) pair
+  once (:func:`train_scenario_bundles`), opens every stream on one
+  in-process runtime, replays all events, and aggregates a
+  :class:`~repro.slo.report.ScenarioReport`;
+* the fleet (:mod:`repro.fleet`) drives one runtime per shard worker,
+  feeding it admitted streams tick by tick and committing the outcomes
+  in global stream order.
 
 Under the ``virtual`` clock, service times come from the scenario's
 seeded :class:`~repro.slo.scenario.ServiceModel` (the wrapped classifier
@@ -20,7 +26,8 @@ advances the clock instead of consuming wall time), deadlines are
 enforced by the session's cooperative check on the same clock, and the
 whole report is a deterministic function of the scenario. Under the
 ``wall`` clock the replay measures real consultation latencies, like
-``serve-sim`` — useful for profiling, not for committed trajectories.
+``serve-sim`` — useful for profiling, not for committed trajectories;
+only ``run_scenario`` accepts it.
 
 Every consultation's response time and deadline verdict are also
 stamped onto the session's ``push`` span, so when a replay is traced the
@@ -30,6 +37,7 @@ report's SLO counters are recomputable from the trace alone via
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
 import zlib
@@ -39,7 +47,6 @@ import numpy as np
 
 from ..core.registry import default_algorithms, default_datasets
 from ..core.resilience import TIMEOUT
-from ..core.streaming import LatencySummary
 from ..core.voting import wrap_for_dataset
 from ..data.splits import train_test_split
 from ..obs.metrics import MetricsRegistry
@@ -47,9 +54,9 @@ from ..obs.trace import current_span
 from ..serve.breaker import CircuitBreaker
 from ..serve.guard import GuardStats, InputGuard
 from ..serve.fallback import make_fallback
-from ..serve.session import ConsultRecord, GuardedStreamingSession
+from ..serve.session import GuardedStreamingSession
 from .clock import VirtualClock
-from .report import ScenarioReport
+from .report import ScenarioReport, summarize_responses
 from .scenario import CLOCK_VIRTUAL, Scenario
 
 
@@ -59,6 +66,9 @@ __all__ = [
     "SimulatedClassifier",
     "ScenarioBundle",
     "train_scenario_bundles",
+    "StreamDescriptor",
+    "scenario_streams",
+    "ShardRuntime",
 ]
 
 
@@ -69,10 +79,6 @@ def derive_seed(*parts) -> int:
     return zlib.crc32(key)
 
 
-# Historical private alias (kept for older call sites/tests).
-_derive_seed = derive_seed
-
-
 class SimulatedClassifier:
     """Wrap a trained classifier so consultations cost *virtual* time.
 
@@ -81,9 +87,8 @@ class SimulatedClassifier:
     deadline check — reading the same clock — sees exactly that
     duration. Everything else proxies to the trained classifier.
 
-    Shared by the single-server SLO harness and the fleet's shard
-    workers (each shard wraps the bundle classifier around its *own*
-    clock, so a shard is one simulated server).
+    Each :class:`ShardRuntime` wraps the bundle classifier around its
+    *own* clock, so a runtime is one simulated server.
     """
 
     def __init__(self, inner, clock: VirtualClock, service, rng) -> None:
@@ -100,9 +105,6 @@ class SimulatedClassifier:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-_SimulatedClassifier = SimulatedClassifier
 
 
 @dataclass
@@ -167,57 +169,211 @@ def train_scenario_bundles(
     return bundles
 
 
-@dataclass
-class _Stream:
-    """One replaying stream and its per-stream collection state."""
+@dataclass(frozen=True)
+class StreamDescriptor:
+    """The three integers that fully determine one scenario stream."""
 
+    global_index: int
+    spec_index: int
+    stream_i: int
+
+    def as_dict(self) -> dict:
+        return {
+            "global_index": self.global_index,
+            "spec_index": self.spec_index,
+            "stream_i": self.stream_i,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "StreamDescriptor":
+        return cls(
+            global_index=int(raw["global_index"]),
+            spec_index=int(raw["spec_index"]),
+            stream_i=int(raw["stream_i"]),
+        )
+
+
+def scenario_streams(scenario: Scenario) -> list[StreamDescriptor]:
+    """Every stream a scenario requests, in global (commit) order."""
+    descriptors: list[StreamDescriptor] = []
+    for spec_index, spec in enumerate(scenario.streams):
+        for i in range(spec.count):
+            descriptors.append(
+                StreamDescriptor(len(descriptors), spec_index, i)
+            )
+    return descriptors
+
+
+@dataclass
+class _ShardStream:
+    """One in-flight stream and its per-stream collection state."""
+
+    descriptor: StreamDescriptor
     name: str
     session: GuardedStreamingSession
     breaker: CircuitBreaker | None
     values: np.ndarray  # (n_variables, length) held-out instance
     true_label: int
-    arrivals: np.ndarray  # per-point arrival timestamps (seconds)
+    n_points: int
+    remaining: int
+    metrics: MetricsRegistry
     pending_arrival: float = 0.0
-    responses: list[float] = field(default_factory=list)
-    records: list[ConsultRecord] = field(default_factory=list)
+    responses: list = field(default_factory=list)
+    misses: int = 0
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    algorithms=None,
-    datasets=None,
-) -> ScenarioReport:
-    """Replay ``scenario`` and return its :class:`ScenarioReport`.
+class ShardRuntime:
+    """One simulated server replaying many guarded sessions.
 
-    ``algorithms``/``datasets`` default to the standard registries at
-    the scenario's scale and seed; tests inject tiny custom registries.
+    The only code that turns scenario streams into sessions and replays
+    them. Each stream is re-derived from its :class:`StreamDescriptor`
+    (arrivals, seeds, instance, name); arrival events are replayed in
+    the global deterministic order ``(timestamp, global_index, point)``.
+    Under the ``virtual`` clock a consultation starts at
+    ``max(arrival, server_free)`` and occupies the server for its
+    seeded service time, so bursts queue and queueing shows up in
+    response latency. Under the ``wall`` clock consultations are timed
+    for real and preempted at the deadline.
     """
-    wall_start = time.perf_counter()
-    if algorithms is None:
-        algorithms = default_algorithms(fast=True)
-    if datasets is None:
-        datasets = default_datasets(scale=scenario.scale, seed=scenario.seed)
 
-    virtual = scenario.clock == CLOCK_VIRTUAL
-    clock = VirtualClock() if virtual else None
-    deadline = scenario.deadline_seconds
-    metrics = MetricsRegistry()
-    fault_plan = scenario.fault_plan()
+    def __init__(self, scenario: Scenario, bundles: dict, index: int) -> None:
+        self.scenario = scenario
+        self.bundles = bundles
+        self.index = index
+        self.virtual = scenario.clock == CLOCK_VIRTUAL
+        self.clock = VirtualClock()
+        self.fault_plan = scenario.fault_plan()
+        # One corruptor per trained pair: additive noise is referenced to
+        # that pair's train-time channel std, so scenario severities mean
+        # the same thing as in the offline robustness grid. None when the
+        # scenario declares no (or only severity-0) corruption.
+        self.corruptors = {
+            key: scenario.corruptor(
+                noise_scale=float(
+                    np.mean([channel.std for channel in bundle.stats.channels])
+                )
+            )
+            for key, bundle in bundles.items()
+        }
+        self._events: list[tuple[float, int, int]] = []  # heap
+        self._streams: dict[int, _ShardStream] = {}
+        self.first_arrival: float | None = None
+        #: Every response time in consultation order, and the virtual
+        #: time the last consultation completed.
+        self.responses: list[float] = []
+        self.last_completion = 0.0
 
-    # -- train each distinct (algorithm, dataset) pair once ------------
-    bundles = train_scenario_bundles(scenario, algorithms, datasets)
+    # ------------------------------------------------------------------
+    @property
+    def n_active(self) -> int:
+        return len(self._streams)
 
-    # -- build streams, sessions, and arrival timelines ----------------
-    streams: list[_Stream] = []
-    misses = 0
-    responses: list[float] = []
-    last_completion = 0.0
+    def handle(self, request: dict) -> dict:
+        """Dispatch one coordinator request (the pool handler)."""
+        command = request.get("cmd")
+        if command == "tick":
+            # One round trip per tick: admissions ride along with the
+            # advance request so a dispatch costs one reply, not two.
+            opened = [
+                StreamDescriptor.from_dict(raw)
+                for raw in request.get("streams", [])
+            ]
+            for descriptor in opened:
+                self.open_stream(descriptor)
+            outcomes = self.run_events(request.get("max_events"))
+            return {
+                "cmd": "tick",
+                "ok": True,
+                "opened": len(opened),
+                "outcomes": outcomes,
+                "active": self.n_active,
+                "events_left": len(self._events),
+                "clock": self.clock.now(),
+            }
+        return {"cmd": command, "error": f"unknown command {command!r}"}
 
-    def make_observer(stream: _Stream):
-        def observe(record: ConsultRecord) -> None:
-            nonlocal misses, last_completion
-            if virtual:
+    # ------------------------------------------------------------------
+    def open_stream(self, descriptor: StreamDescriptor) -> None:
+        """Build the guarded session for one stream and queue its events."""
+        scenario = self.scenario
+        spec = scenario.streams[descriptor.spec_index]
+        key = (spec.algorithm, spec.dataset)
+        bundle = self.bundles[key]
+        test = bundle.test
+        instance = descriptor.stream_i % test.n_instances
+        name = f"{spec.dataset}[{instance}]@{spec.algorithm}"
+        length = test.values.shape[2]
+        global_index = descriptor.global_index
+        arrivals = scenario.arrival.generate(
+            length,
+            seed=derive_seed(scenario.seed, global_index, "arrival"),
+            start=global_index * scenario.stagger_ms / 1000.0,
+        )
+        if self.virtual:
+            classifier = SimulatedClassifier(
+                bundle.classifier,
+                self.clock,
+                scenario.service,
+                np.random.default_rng(
+                    np.random.SeedSequence(
+                        derive_seed(scenario.seed, global_index, "service")
+                    )
+                ),
+            )
+            session_clock = breaker_clock = self.clock.now
+        else:
+            classifier = bundle.classifier
+            session_clock, breaker_clock = time.perf_counter, time.monotonic
+        breaker = None
+        if scenario.breaker is not None:
+            breaker = CircuitBreaker(
+                failure_threshold=scenario.breaker.threshold,
+                recovery_seconds=scenario.breaker.recovery_ms / 1000.0,
+                probe_successes=scenario.breaker.probe_successes,
+                clock=breaker_clock,
+            )
+        metrics = MetricsRegistry()
+        stream = _ShardStream(
+            descriptor=descriptor,
+            name=name,
+            session=None,  # filled below (observer needs the stream)
+            breaker=breaker,
+            values=test.values[instance],
+            true_label=int(test.labels[instance]),
+            n_points=len(arrivals),
+            remaining=len(arrivals),
+            metrics=metrics,
+        )
+        stream.session = GuardedStreamingSession(
+            classifier,
+            length,
+            check_every=scenario.check_every,
+            guard=InputGuard(bundle.stats, policy=scenario.guard),
+            fallback=bundle.fallback,
+            deadline_seconds=scenario.deadline_seconds,
+            breaker=breaker,
+            fault_injector=self.fault_plan,
+            corruptor=self.corruptors[key],
+            stream_name=name,
+            algorithm_name=spec.algorithm,
+            metrics=metrics,
+            clock=session_clock,
+            consult_observer=self._make_observer(stream),
+            preemptive_deadline=not self.virtual,
+        )
+        self._streams[global_index] = stream
+        for point, timestamp in enumerate(arrivals):
+            heapq.heappush(
+                self._events, (float(timestamp), global_index, point)
+            )
+        if self.first_arrival is None or arrivals[0] < self.first_arrival:
+            self.first_arrival = float(arrivals[0])
+
+    def _make_observer(self, stream: _ShardStream):
+        deadline = self.scenario.deadline_seconds
+
+        def observe(record) -> None:
+            if self.virtual:
                 if (
                     record.failure_kind == TIMEOUT
                     and deadline is not None
@@ -226,8 +382,11 @@ def run_scenario(
                     # A timed-out consultation occupies the server for
                     # the full deadline before being preempted; injected
                     # timeouts raise instantly, so charge the remainder.
-                    clock.advance(deadline - record.elapsed_seconds)
-                response = clock.now() - stream.pending_arrival
+                    self.clock.advance(deadline - record.elapsed_seconds)
+                response = self.clock.now() - stream.pending_arrival
+                self.last_completion = max(
+                    self.last_completion, self.clock.now()
+                )
             else:
                 response = record.elapsed_seconds
             missed = bool(
@@ -235,166 +394,127 @@ def run_scenario(
                 or record.failure_kind == TIMEOUT
                 or (deadline is not None and response > deadline + 1e-12)
             )
-            misses += missed
+            stream.misses += missed
             stream.responses.append(response)
-            stream.records.append(record)
-            responses.append(response)
-            if virtual:
-                last_completion = max(last_completion, clock.now())
+            self.responses.append(response)
+            # Stamped on the push span so a trace alone recomputes the
+            # SLO counters (repro.obs.metrics.metrics_from_spans).
             span = current_span()
             span.set_attribute("slo.response_seconds", response)
             span.set_attribute("slo.deadline_missed", missed)
 
         return observe
 
-    # One corruptor per trained pair: additive noise is referenced to
-    # that pair's train-time channel std, so scenario severities mean
-    # the same thing as in the offline robustness grid. None when the
-    # scenario declares no (or only severity-0) corruption.
-    corruptors: dict[tuple[str, str], object] = {
-        key: scenario.corruptor(
-            noise_scale=float(
-                np.mean([channel.std for channel in bundle.stats.channels])
-            )
-        )
-        for key, bundle in bundles.items()
-    }
+    # ------------------------------------------------------------------
+    def run_events(self, max_events: int | None = None) -> list[dict]:
+        """Advance up to ``max_events`` arrival events; collect outcomes."""
+        completed: list[dict] = []
+        processed = 0
+        while self._events and (max_events is None or processed < max_events):
+            timestamp, global_index, point = heapq.heappop(self._events)
+            stream = self._streams[global_index]
+            if self.virtual:
+                # The consultation starts when both the point has arrived
+                # and the server is free; the clock never runs backwards.
+                self.clock.advance_to(timestamp)
+            stream.pending_arrival = timestamp
+            stream.session.push(stream.values[:, point])
+            stream.remaining -= 1
+            processed += 1
+            if stream.remaining == 0:
+                completed.append(self._finish(stream))
+        return completed
 
-    global_index = 0
-    for spec in scenario.streams:
-        bundle = bundles[(spec.algorithm, spec.dataset)]
-        classifier, stats, fallback, test = (
-            bundle.classifier,
-            bundle.stats,
-            bundle.fallback,
-            bundle.test,
-        )
-        for i in range(spec.count):
-            instance = i % test.n_instances
-            name = f"{spec.dataset}[{instance}]@{spec.algorithm}"
-            length = test.values.shape[2]
-            arrivals = scenario.arrival.generate(
-                length,
-                seed=_derive_seed(scenario.seed, global_index, "arrival"),
-                start=global_index * scenario.stagger_ms / 1000.0,
+    def _finish(self, stream: _ShardStream) -> dict:
+        """Close one fully replayed stream into a picklable outcome."""
+        session = stream.session
+        decision = session.decision
+        if decision is None and session.n_observed:
+            decision = session.finalize()
+        counters = {
+            name: value
+            for name, value in stream.metrics.snapshot().items()
+            if isinstance(value, int)
+        }
+        recoveries = 0
+        if stream.breaker is not None:
+            recoveries = sum(
+                1
+                for _, to_state, _, _ in stream.breaker.transitions
+                if to_state == "closed"
             )
-            breaker = None
-            if scenario.breaker is not None:
-                breaker = CircuitBreaker(
-                    failure_threshold=scenario.breaker.threshold,
-                    recovery_seconds=scenario.breaker.recovery_ms / 1000.0,
-                    probe_successes=scenario.breaker.probe_successes,
-                    clock=clock.now if virtual else time.monotonic,
-                )
-            serving_classifier = classifier
-            if virtual:
-                serving_classifier = _SimulatedClassifier(
-                    classifier,
-                    clock,
-                    scenario.service,
-                    np.random.default_rng(
-                        np.random.SeedSequence(
-                            _derive_seed(scenario.seed, global_index, "service")
-                        )
-                    ),
-                )
-            stream = _Stream(
-                name=name,
-                session=None,  # filled below (observer needs the stream)
-                breaker=breaker,
-                values=test.values[instance],
-                true_label=int(test.labels[instance]),
-                arrivals=arrivals,
-            )
-            stream.session = GuardedStreamingSession(
-                serving_classifier,
-                length,
-                check_every=scenario.check_every,
-                guard=InputGuard(stats, policy=scenario.guard),
-                fallback=fallback,
-                deadline_seconds=deadline,
-                breaker=breaker,
-                fault_injector=fault_plan,
-                corruptor=corruptors[(spec.algorithm, spec.dataset)],
-                stream_name=name,
-                algorithm_name=spec.algorithm,
-                metrics=metrics,
-                clock=clock.now if virtual else time.perf_counter,
-                consult_observer=make_observer(stream),
-                preemptive_deadline=not virtual,
-            )
-            streams.append(stream)
-            global_index += 1
+        del self._streams[stream.descriptor.global_index]
+        return {
+            "descriptor": stream.descriptor.as_dict(),
+            "name": stream.name,
+            "true_label": stream.true_label,
+            "decision": decision,
+            "responses": stream.responses,
+            "n_consults": len(stream.responses),
+            "misses": stream.misses,
+            "n_points": stream.n_points,
+            "counters": counters,
+            "breaker_recoveries": recoveries,
+            "completion_clock": self.clock.now(),
+        }
 
-    # -- merge per-stream arrivals into one global timeline ------------
-    events = sorted(
-        (float(stream.arrivals[point]), index, point)
-        for index, stream in enumerate(streams)
-        for point in range(len(stream.arrivals))
+
+def run_scenario(
+    scenario: Scenario,
+    *,
+    algorithms=None,
+    datasets=None,
+) -> ScenarioReport:
+    """Replay ``scenario`` through one in-process runtime; report its SLOs.
+
+    ``algorithms``/``datasets`` default to the standard registries at
+    the scenario's scale and seed; tests inject tiny custom registries.
+    """
+    wall_start = time.perf_counter()
+    bundles = train_scenario_bundles(scenario, algorithms, datasets)
+    runtime = ShardRuntime(scenario, bundles, 0)
+    for descriptor in scenario_streams(scenario):
+        runtime.open_stream(descriptor)
+    outcomes = sorted(
+        runtime.run_events(),
+        key=lambda outcome: outcome["descriptor"]["global_index"],
     )
-    first_arrival = events[0][0] if events else 0.0
-
-    # -- replay through one simulated server ---------------------------
-    for timestamp, stream_index, point in events:
-        stream = streams[stream_index]
-        if virtual:
-            # The consultation starts when both the point has arrived
-            # and the server is free; the clock never runs backwards.
-            clock.advance_to(timestamp)
-        stream.pending_arrival = timestamp
-        stream.session.push(stream.values[:, point])
-
-    decisions, true_labels = [], []
-    for stream in streams:
-        decision = stream.session.decision
-        if decision is None and stream.session.n_observed:
-            decision = stream.session.finalize()
-        if decision is not None:
-            decisions.append(decision)
-            true_labels.append(stream.true_label)
-
-    # -- aggregate ------------------------------------------------------
     wall_seconds = time.perf_counter() - wall_start
+
+    decided = [o for o in outcomes if o["decision"] is not None]
+    decisions = [o["decision"] for o in decided]
+    counters: dict[str, int] = {}
+    for outcome in outcomes:
+        for name, value in outcome["counters"].items():
+            counters[name] = counters.get(name, 0) + value
+    # The scenario makespan runs from the first arrival to the last
+    # consultation's completion (the fleet reports its maximum shard
+    # clock instead); a wall-clock replay reports its real duration.
     makespan = (
-        last_completion - first_arrival
-        if virtual
+        runtime.last_completion - (runtime.first_arrival or 0.0)
+        if runtime.virtual
         else wall_seconds
     )
-    latency = iqr = None
-    if responses:
-        sample = np.asarray(responses, dtype=float)
-        latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
-        iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
-    counters = {
-        name: value
-        for name, value in metrics.snapshot().items()
-        if isinstance(value, int)
-    }
-    recoveries = sum(
-        1
-        for stream in streams
-        if stream.breaker is not None
-        for _, to_state, _, _ in stream.breaker.transitions
-        if to_state == "closed"
+    latency, iqr = summarize_responses(
+        runtime.responses, scenario.deadline_seconds
     )
-    report = ScenarioReport(
+    return ScenarioReport(
         scenario=scenario,
-        n_streams=len(streams),
-        n_points=sum(len(stream.arrivals) for stream in streams),
-        n_consults=len(responses),
+        n_streams=len(outcomes),
+        n_points=sum(o["n_points"] for o in outcomes),
+        n_consults=len(runtime.responses),
         decisions=decisions,
-        true_labels=true_labels,
+        true_labels=[o["true_label"] for o in decided],
         latency=latency,
-        iqr_seconds=iqr or 0.0,
+        iqr_seconds=iqr,
         makespan_seconds=max(makespan, 0.0),
-        deadline_misses=misses,
+        deadline_misses=sum(o["misses"] for o in outcomes),
         degraded_decisions=sum(1 for d in decisions if d.degraded),
         breaker_trips=counters.get("serve.breaker_trips", 0),
-        breaker_recoveries=recoveries,
+        breaker_recoveries=sum(o["breaker_recoveries"] for o in outcomes),
         counters=counters,
         environment=_environment(wall_seconds),
     )
-    return report
 
 
 def _environment(wall_seconds: float) -> dict:

@@ -15,15 +15,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..core.streaming import LatencySummary, StreamingDecision
 from .scenario import Scenario
 
-__all__ = ["ScenarioReport"]
+__all__ = ["ScenarioReport", "summarize_responses"]
 
 
 def _round(value: float, digits: int = 9) -> float:
     """Stabilize floats for JSON round-trips and cross-run comparison."""
     return round(float(value), digits)
+
+
+def _latency_dict(latency: LatencySummary | None) -> dict | None:
+    if latency is None:
+        return None
+    return {
+        key: (_round(value) if isinstance(value, float) else value)
+        for key, value in latency.as_dict().items()
+    }
+
+
+def summarize_responses(
+    responses: list[float], deadline: float | None
+) -> tuple[LatencySummary | None, float]:
+    """Latency summary and IQR of response times; ``(None, 0.0)`` if empty.
+
+    The sample is summarized in the order given: jitter is a stddev, so
+    the accumulation order is part of the committed trajectory.
+    """
+    if not responses:
+        return None, 0.0
+    sample = np.asarray(responses, dtype=float)
+    latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
+    return latency, float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
 
 
 @dataclass
@@ -88,12 +114,6 @@ class ScenarioReport:
     # ------------------------------------------------------------------
     def deterministic_dict(self) -> dict[str, Any]:
         """The reproducible core: identical across same-seed replays."""
-        latency = None
-        if self.latency is not None:
-            latency = {
-                key: (_round(value) if isinstance(value, float) else value)
-                for key, value in self.latency.as_dict().items()
-            }
         return {
             "scenario": {
                 "name": self.scenario.name,
@@ -114,7 +134,7 @@ class ScenarioReport:
                 "makespan_seconds": _round(self.makespan_seconds),
                 "throughput_per_second": _round(self.throughput_per_second),
             },
-            "latency": latency,
+            "latency": _latency_dict(self.latency),
             "jitter": {
                 "stddev_seconds": _round(
                     self.latency.jitter if self.latency else 0.0

@@ -17,9 +17,15 @@ from _harness import (
     write_report,
 )
 
-from repro.core import StreamingSession, default_algorithms, wrap_for_dataset
+from repro.core import (
+    AlgorithmRegistry,
+    DatasetRegistry,
+    StreamingSession,
+    default_algorithms,
+    wrap_for_dataset,
+)
 from repro.core.charts import heatmap
-from repro.serve import ServeFaultPlan, run_serve_sim
+from repro.slo import parse_scenario, run_scenario
 
 
 def test_fig13_online(benchmark):
@@ -94,19 +100,34 @@ def test_fig13_online(benchmark):
     )
 
     # Degraded-decision rate under consultation faults: replay the bench
-    # dataset through the resilient serving layer with every consultation
-    # timing out (injected, zero real delay). Every stream must still
-    # decide, with all decisions fallback-sourced; the same replay with
-    # no faults must stay entirely model-sourced.
-    chaos = run_serve_sim(
-        info.factory,
-        bench_dataset,
-        info.name,
-        n_streams=5,
-        fault_injector=ServeFaultPlan().timeout_consult(at=None),
-        deadline_seconds=60.0,
-    )
-    clean = run_serve_sim(info.factory, bench_dataset, info.name, n_streams=5)
+    # dataset as a wall-clock scenario with every consultation timing
+    # out (injected, zero real delay). Every stream must still decide,
+    # with all decisions fallback-sourced; the same replay with no
+    # faults must stay entirely model-sourced.
+    algorithms = AlgorithmRegistry()
+    algorithms.register(info.name, info.factory)
+    datasets = DatasetRegistry()
+    datasets.register(bench_dataset.name, lambda: bench_dataset)
+
+    def replay(**overrides):
+        scenario = parse_scenario(
+            {
+                "name": "fig13-serve",
+                "clock": "wall",
+                "streams": [
+                    {
+                        "algorithm": info.name,
+                        "dataset": bench_dataset.name,
+                        "count": 5,
+                    }
+                ],
+                **overrides,
+            }
+        )
+        return run_scenario(scenario, algorithms=algorithms, datasets=datasets)
+
+    chaos = replay(faults=["consult:timeout"], deadline_ms=60000)
+    clean = replay()
     lines.extend(
         [
             "",
@@ -116,12 +137,13 @@ def test_fig13_online(benchmark):
             "|---|---|---|---|",
             (
                 f"| all consults time out | {chaos.n_decided}/"
-                f"{chaos.n_streams} | {chaos.degraded_rate:.0%} "
-                f"| {chaos.n_breaker_trips} |"
+                f"{chaos.n_streams} | {chaos.degraded_decision_rate:.0%} "
+                f"| {chaos.breaker_trips} |"
             ),
             (
                 f"| no faults | {clean.n_decided}/{clean.n_streams} "
-                f"| {clean.degraded_rate:.0%} | {clean.n_breaker_trips} |"
+                f"| {clean.degraded_decision_rate:.0%} "
+                f"| {clean.breaker_trips} |"
             ),
         ]
     )
@@ -129,9 +151,9 @@ def test_fig13_online(benchmark):
     assert latency.count > 0
     assert latency.p50 <= latency.p95 <= latency.p99 <= latency.max
     assert chaos.n_decided == chaos.n_streams
-    assert chaos.degraded_rate == 1.0
-    assert chaos.n_breaker_trips > 0
-    assert clean.degraded_rate == 0.0
+    assert chaos.degraded_decision_rate == 1.0
+    assert chaos.breaker_trips > 0
+    assert clean.degraded_decision_rate == 0.0
 
     assert cells, "no feasibility cells computed"
     assert feasible_count > 0

@@ -17,10 +17,11 @@ Like ``bench_perf.py``, this is a standalone script (CI's
         --check BENCH_SERVE.json                                  # gate
     PYTHONPATH=src python benchmarks/bench_serve.py --determinism # 2x run
 
-``--check`` fails when any scenario's deadline-miss rate exceeds twice
-the committed baseline (plus a small absolute epsilon so a zero
-baseline stays gateable) or its p99 response latency regressed beyond
-1.5x. ``--determinism`` replays every scenario twice and fails on any
+``--check`` fails when a scenario is missing from either side, when
+any scenario's deadline-miss rate exceeds twice the committed baseline
+(plus a small absolute epsilon so a zero baseline stays gateable), or
+when its p99 response latency regressed beyond 1.5x.
+``--determinism`` replays every scenario twice and fails on any
 byte-level difference between the two deterministic reports.
 """
 
@@ -90,7 +91,12 @@ def _check_determinism(names: list[str] | None) -> int:
 
 def _check(current: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    failures = []
+    # Fail closed: a scenario this run measured must have a reference.
+    failures = [
+        f"{name}: missing from the committed baseline"
+        for name in current["scenarios"]
+        if name not in baseline["scenarios"]
+    ]
     for name, reference in baseline["scenarios"].items():
         measured = current["scenarios"].get(name)
         if measured is None:

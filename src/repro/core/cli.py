@@ -18,15 +18,13 @@ Parallelism: ``--workers N`` evaluates up to N grid cells concurrently
 in forked worker processes; reports, checkpoints, and traces merge
 deterministically (see ``docs/performance.md``).
 
-Serving: ``etsc-bench serve-sim ...`` replays a dataset through the
-resilient streaming endpoint — input guards, deadlines, fallback
-degradation, circuit breakers — and prints a feasibility/degradation
-report (see ``docs/serving.md``).
-
-SLOs: ``etsc-bench serve-slo ...`` replays declarative scenario configs
-(arrival process, stream mix, service model, deadline, faults) and
-reports latency quantiles to p99.9, jitter, throughput, and
-deadline-miss/degraded-decision rates (see ``docs/slo.md``).
+Serving: ``etsc-bench serve-slo ...`` replays declarative scenario
+configs (arrival process, stream mix, service model, deadline, faults)
+through the resilient streaming endpoint — input guards, deadlines,
+fallback degradation, circuit breakers — on a virtual or wall clock,
+and reports latency quantiles to p99.9, jitter, throughput, and
+deadline-miss/degraded-decision rates (see ``docs/slo.md`` and
+``docs/serving.md``).
 
 Fleet: ``etsc-bench serve-fleet ...`` serves the same scenarios through
 a multi-tenant sharded fleet — bounded admission with load-shedding
@@ -276,10 +274,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     # The historical interface is flag-only; subcommands dispatch on the
     # first positional token so existing ``etsc-bench --flags`` usage is
     # untouched.
-    if argv and argv[0] == "serve-sim":
-        from ..serve.simulate import main as serve_sim_main
-
-        return serve_sim_main(argv[1:], out)
     if argv and argv[0] == "serve-slo":
         from ..slo.cli import main as serve_slo_main
 

@@ -15,16 +15,17 @@ empirical comparison, so a bench or the CLI can iterate the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..data.dataset import TimeSeriesDataset
-from ..exceptions import RegistryError
+from ..exceptions import ConfigurationError, RegistryError
 from .base import EarlyClassifier
 
 __all__ = [
     "AlgorithmInfo",
     "AlgorithmRegistry",
     "DatasetRegistry",
+    "check_names",
     "default_algorithms",
     "default_datasets",
 ]
@@ -127,6 +128,32 @@ class DatasetRegistry:
 
     def __len__(self) -> int:
         return len(self._datasets)
+
+
+def check_names(
+    algorithms: AlgorithmRegistry,
+    datasets: DatasetRegistry,
+    algorithm_names: Iterable[str],
+    dataset_names: Iterable[str],
+) -> None:
+    """Fail fast on a name neither registry knows.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` listing the
+    unknown names and every registered one; the grid runner and the
+    scenario replays call it before any work starts.
+    """
+    for kind, names, registry in (
+        ("algorithm", algorithm_names, algorithms),
+        ("dataset", dataset_names, datasets),
+    ):
+        unknown = [
+            name for name in dict.fromkeys(names) if name not in registry
+        ]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {kind} name(s): {', '.join(unknown)} "
+                f"(registered: {', '.join(registry.names())})"
+            )
 
 
 def default_algorithms(fast: bool = True) -> AlgorithmRegistry:

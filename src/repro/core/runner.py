@@ -79,7 +79,7 @@ from .categorization import (
 )
 from .checkpoint import CheckpointWriter, grid_fingerprint, load_checkpoint
 from .evaluation import EvaluationResult, evaluate
-from .registry import AlgorithmRegistry, DatasetRegistry
+from .registry import AlgorithmRegistry, DatasetRegistry, check_names
 from .resilience import (
     TIMEOUT,
     RetryPolicy,
@@ -538,7 +538,9 @@ class BenchmarkRunner:
         """
         algorithm_names = algorithm_names or self.algorithms.names()
         dataset_names = dataset_names or self.datasets.names()
-        self._check_names(algorithm_names, dataset_names)
+        check_names(
+            self.algorithms, self.datasets, algorithm_names, dataset_names
+        )
         fingerprint = self.fingerprint(algorithm_names, dataset_names)
         path: str | os.PathLike | None
         if self.shard is None:
@@ -591,21 +593,6 @@ class BenchmarkRunner:
             if checkpoint is not None:
                 checkpoint.close()
         return report
-
-    def _check_names(
-        self, algorithm_names: list[str], dataset_names: list[str]
-    ) -> None:
-        """Fail fast on a name neither registry knows."""
-        for kind, names, registry in (
-            ("algorithm", algorithm_names, self.algorithms),
-            ("dataset", dataset_names, self.datasets),
-        ):
-            unknown = [name for name in names if name not in registry]
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown {kind} name(s): {', '.join(unknown)} "
-                    f"(registered: {', '.join(registry.names())})"
-                )
 
     def _effective_workers(self) -> int:
         """Worker count after platform gating (fork-only parallelism)."""

@@ -113,8 +113,8 @@ class LatencySummary:
         latencies: "np.ndarray | list[float]",
         budget_seconds: float | None = None,
     ) -> "LatencySummary":
-        """Summarize a latency sample (shared by sessions, serve-sim,
-        the SLO harness, and the fleet's per-shard rollups).
+        """Summarize a latency sample (shared by sessions, the SLO
+        harness, and the fleet's per-shard rollups).
 
         An empty sample returns :meth:`empty` — ``numpy.quantile`` would
         raise an ``IndexError`` on a zero-length array, and a shard that

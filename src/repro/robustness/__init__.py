@@ -17,7 +17,7 @@ package makes those conditions *first-class evaluated scenarios*:
 - :mod:`repro.robustness.grid` — degradation curves over severity and
   robustness-AUC per algorithm, checkpoint/resume-safe.
 - :mod:`repro.robustness.stream` — push-time corruption for the
-  serving layer (``--corrupt`` on ``serve-sim``/``serve-slo``), with
+  serving layer (``--corrupt`` on ``serve-slo``), with
   provenance of which operator fired.
 
 See ``docs/robustness.md`` for the operator catalog and the

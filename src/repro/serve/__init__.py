@@ -14,9 +14,9 @@ production-grade streaming endpoint (``docs/serving.md``):
 - :class:`ServeFaultPlan` injects deterministic push/consult faults so
   the whole failure surface is testable with zero real delays.
 
-The entry points are :class:`GuardedStreamingSession` (wrap one stream)
-and :func:`run_serve_sim` / ``repro-cli serve-sim`` (replay a dataset
-and report feasibility and degradation).
+The entry point is :class:`GuardedStreamingSession` (wrap one stream);
+:func:`repro.slo.run_scenario` / ``etsc-bench serve-slo`` replay
+scenarios of many guarded streams and report their SLOs.
 """
 
 from .breaker import (
@@ -44,7 +44,6 @@ from .guard import (
     InputGuard,
 )
 from .session import ConsultRecord, GuardedStreamingSession
-from .simulate import ServeSimReport, run_serve_sim
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -70,6 +69,4 @@ __all__ = [
     "InputGuard",
     "ConsultRecord",
     "GuardedStreamingSession",
-    "ServeSimReport",
-    "run_serve_sim",
 ]

@@ -277,7 +277,7 @@ class PrefixNearestNeighborFallback(FallbackPredictor):
         return predictions
 
 
-#: Named fallback constructors for the CLI / serve-sim layer.
+#: Named fallback constructors (the scenario ``fallback`` key).
 FALLBACK_NAMES = ("majority", "prefix-1nn")
 
 

@@ -25,9 +25,10 @@ seeded :class:`~repro.slo.scenario.ServiceModel` (the wrapped classifier
 advances the clock instead of consuming wall time), deadlines are
 enforced by the session's cooperative check on the same clock, and the
 whole report is a deterministic function of the scenario. Under the
-``wall`` clock the replay measures real consultation latencies, like
-``serve-sim`` — useful for profiling, not for committed trajectories;
-only ``run_scenario`` accepts it.
+``wall`` clock the replay measures real consultation latencies and
+preempts them at the deadline — the online-feasibility replay of the
+paper's Figure 13, useful for profiling but not for committed
+trajectories; only ``run_scenario`` accepts it.
 
 Every consultation's response time and deadline verdict are also
 stamped onto the session's ``push`` span, so when a replay is traced the
@@ -45,12 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.registry import default_algorithms, default_datasets
+from ..core.registry import check_names, default_algorithms, default_datasets
 from ..core.resilience import TIMEOUT
 from ..core.voting import wrap_for_dataset
 from ..data.splits import train_test_split
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import current_span
+from ..obs.trace import current_span, get_tracer
 from ..serve.breaker import CircuitBreaker
 from ..serve.guard import GuardStats, InputGuard
 from ..serve.fallback import make_fallback
@@ -135,11 +136,22 @@ def train_scenario_bundles(
     algorithms=None,
     datasets=None,
 ) -> dict[tuple[str, str], ScenarioBundle]:
-    """Train every distinct (algorithm, dataset) pair a scenario uses."""
+    """Train every distinct (algorithm, dataset) pair a scenario uses.
+
+    Every name is checked before anything is trained: an unknown one
+    raises :class:`~repro.exceptions.ConfigurationError` listing the
+    registered names (:func:`~repro.core.registry.check_names`).
+    """
     if algorithms is None:
         algorithms = default_algorithms(fast=True)
     if datasets is None:
         datasets = default_datasets(scale=scenario.scale, seed=scenario.seed)
+    check_names(
+        algorithms,
+        datasets,
+        [spec.algorithm for spec in scenario.streams],
+        [spec.dataset for spec in scenario.streams],
+    )
     bundles: dict[tuple[str, str], ScenarioBundle] = {}
     for spec in scenario.streams:
         key = (spec.algorithm, spec.dataset)
@@ -444,6 +456,16 @@ class ShardRuntime:
                 if to_state == "closed"
             )
         del self._streams[stream.descriptor.global_index]
+        # Streams interleave, so their push spans cannot nest under a
+        # per-stream span; a zero-length ``stream`` span records each
+        # stream's outcome once it completes instead.
+        with get_tracer().span(
+            "stream",
+            stream=stream.name,
+            decided_at=decision.decided_at if decision else None,
+            n_consultations=len(stream.responses),
+        ):
+            pass
         return {
             "descriptor": stream.descriptor.as_dict(),
             "name": stream.name,

@@ -135,6 +135,28 @@ class TestExitCodes:
         assert code == 2
         assert "fault spec" in out.getvalue()
 
+    def test_unknown_algorithm_fails_before_any_training(
+        self, tmp_path, monkeypatch
+    ):
+        trained = []
+        monkeypatch.setattr(
+            "repro.slo.harness.wrap_for_dataset",
+            lambda factory, train: trained.append(train),
+        )
+        scenario = tiny_scenario_file(
+            tmp_path,
+            streams=[
+                {"dataset": "PowerCons", "algorithm": "TEASER"},
+                {"dataset": "PowerCons", "algorithm": "ORACLE"},
+            ],
+        )
+        out = io.StringIO()
+        assert fleet_main(["--scenario", str(scenario)], out) == 2
+        text = out.getvalue()
+        assert "error: unknown algorithm name(s): ORACLE" in text
+        assert "(registered: ECEC, " in text
+        assert trained == []
+
     def test_wall_clock_scenario_is_rejected(self, tmp_path):
         scenario = tiny_scenario_file(
             tmp_path, clock="wall", deadline_ms=None

@@ -1,124 +1,87 @@
-"""Tests for the serve-sim replay engine and its CLI subcommand."""
+"""Serving replays on the wall clock, in-process and through the CLI.
+
+A wall-clock scenario replays a fitted model over streamed instances and
+measures real consultation latencies; ``run_scenario`` drives it
+in-process and ``etsc-bench serve-slo`` from a scenario file.
+"""
 
 import io
 import json
 
-import numpy as np
-import pytest
-
+from repro.core import AlgorithmRegistry, DatasetRegistry
 from repro.core.cli import main as cli_main
 from repro.core.registry import default_algorithms
-from repro.serve import ServeFaultPlan, run_serve_sim
+from repro.slo import parse_scenario, run_scenario
 from tests.conftest import make_sinusoid_dataset
 
 INFO = default_algorithms(fast=True).get("ECTS")
-DATASET = make_sinusoid_dataset(40, length=16, noise=0.1, name="fuzzable")
+
+
+def wall_clock_scenario(n_streams):
+    return {
+        "name": "serve-sim",
+        "seed": 0,
+        "clock": "wall",
+        "deadline_ms": None,
+        "streams": [
+            {"dataset": "fuzzable", "algorithm": "ECTS", "count": n_streams}
+        ],
+    }
+
+
+def replay(n_streams):
+    algorithms = AlgorithmRegistry()
+    algorithms.register("ECTS", INFO.factory)
+    datasets = DatasetRegistry()
+    datasets.register(
+        "fuzzable",
+        lambda: make_sinusoid_dataset(
+            40, length=16, noise=0.1, name="fuzzable"
+        ),
+    )
+    return run_scenario(
+        parse_scenario(wall_clock_scenario(n_streams)),
+        algorithms=algorithms,
+        datasets=datasets,
+    )
 
 
 class TestRunServeSim:
     def test_clean_replay_all_model_sourced(self):
-        report = run_serve_sim(INFO.factory, DATASET, "ECTS", n_streams=5)
+        report = replay(n_streams=5)
         assert report.n_decided == report.n_streams == 5
-        assert report.degraded_rate == 0.0
-        assert report.n_breaker_trips == 0
+        assert all(d.source == "model" for d in report.decisions)
+        assert report.degraded_decisions == 0
+        assert report.breaker_trips == 0
         assert report.latency is not None
         assert report.latency.count >= 5
 
-    def test_chaos_replay_completes_with_degraded_decisions(self):
-        # The acceptance scenario: consult-timeout faults on every push;
-        # the stream still completes, every instance gets a decision,
-        # every decision is fallback-sourced, and breaker trips surface.
-        plan = ServeFaultPlan().timeout_consult(at=None)
-        report = run_serve_sim(
-            INFO.factory,
-            DATASET,
-            "ECTS",
-            n_streams=4,
-            fault_injector=plan,
-            deadline_seconds=30.0,
-        )
-        assert report.n_decided == report.n_streams == 4
-        assert report.degraded_rate == 1.0
-        assert all(d.degraded and d.source == "fallback" for d in report.decisions)
-        assert report.n_breaker_trips >= 1
-        assert report.counters["serve.consult_timeouts"] > 0
-        assert report.counters["serve.degraded_decisions"] == 4
-        assert plan.injected  # the schedule actually ran
-
-    def test_same_replay_without_faults_is_bit_identical(self):
-        clean_a = run_serve_sim(INFO.factory, DATASET, "ECTS", n_streams=4)
-        clean_b = run_serve_sim(INFO.factory, DATASET, "ECTS", n_streams=4)
-        assert [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in clean_a.decisions
-        ] == [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in clean_b.decisions
-        ]
-
-    def test_faults_do_not_change_undegraded_decisions(self):
-        # A fault scoped to a stream name that never occurs leaves the
-        # replay identical to a clean run — the chaos path is pure
-        # observation until a fault actually fires.
-        plan = ServeFaultPlan().timeout_consult(at=None, stream="nowhere")
-        clean = run_serve_sim(INFO.factory, DATASET, "ECTS", n_streams=4)
-        scoped = run_serve_sim(
-            INFO.factory, DATASET, "ECTS", n_streams=4, fault_injector=plan
-        )
-        assert plan.injected == []
-        assert [
-            (d.label, d.decided_at, d.confidence) for d in clean.decisions
-        ] == [
-            (d.label, d.decided_at, d.confidence) for d in scoped.decisions
-        ]
-
     def test_render_mentions_the_key_numbers(self):
-        report = run_serve_sim(INFO.factory, DATASET, "ECTS", n_streams=3)
-        text = report.render()
-        assert "3/3 streams decided" in text
+        text = replay(n_streams=3).render()
+        assert "3/3 decided" in text
         assert "breaker" in text
-        assert "p99" in text or "over-budget" in text
+        assert "p99" in text
 
 
 class TestServeSimCli:
-    def run_cli(self, *extra):
-        out = io.StringIO()
-        code = cli_main(
-            [
-                "serve-sim",
-                "--algorithm", "ECTS",
-                "--dataset", "PowerCons",
-                "--scale", "0.05",
-                "--streams", "2",
-                *extra,
+    def run_cli(self, tmp_path, *extra):
+        scenario = {
+            **wall_clock_scenario(2),
+            "scale": 0.05,
+            "streams": [
+                {"dataset": "PowerCons", "algorithm": "ECTS", "count": 2}
             ],
-            out,
-        )
+        }
+        path = tmp_path / "serve-sim.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        out = io.StringIO()
+        code = cli_main(["serve-slo", "--scenario", str(path), *extra], out)
         return code, out.getvalue()
 
-    def test_clean_run_exits_zero(self):
-        code, text = self.run_cli()
+    def test_clean_run_exits_zero(self, tmp_path):
+        code, text = self.run_cli(tmp_path)
         assert code == 0
-        assert "streams decided" in text
-
-    def test_chaos_run_reports_degradation(self):
-        code, text = self.run_cli(
-            "--fault", "consult:timeout", "--deadline", "30"
-        )
-        assert code == 0
-        assert "100.0%" in text  # all decisions fallback-sourced
-
-    def test_bad_fault_spec_is_a_usage_error(self):
-        code, text = self.run_cli("--fault", "network:melt")
-        assert code == 2
-        assert "error:" in text
-
-    def test_unknown_algorithm_is_a_failure(self):
-        out = io.StringIO()
-        code = cli_main(
-            ["serve-sim", "--algorithm", "ORACLE", "--streams", "1"], out
-        )
-        assert code in (1, 2)
+        assert "2/2 decided" in text
 
     def test_flat_flag_interface_still_works(self):
         # The historical subcommand-free CLI must be untouched.
@@ -128,35 +91,10 @@ class TestServeSimCli:
 
     def test_trace_written(self, tmp_path):
         trace = tmp_path / "serve.jsonl"
-        code, text = self.run_cli("--trace", str(trace))
+        code, text = self.run_cli(tmp_path, "--trace", str(trace))
         assert code == 0
         records = [
             json.loads(line) for line in trace.read_text().splitlines()
         ]
         names = {r.get("name") for r in records}
         assert "stream" in names and "push" in names
-
-
-class TestServeMetricsFromSpans:
-    def test_serve_events_aggregate_from_trace(self):
-        from repro.obs.metrics import metrics_from_spans
-        from repro.obs.trace import Tracer, use_tracer
-
-        plan = ServeFaultPlan().timeout_consult(at=None)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            run_serve_sim(
-                INFO.factory,
-                DATASET,
-                "ECTS",
-                n_streams=2,
-                fault_injector=plan,
-                deadline_seconds=30.0,
-            )
-        snapshot = metrics_from_spans(tracer.finished_spans()).snapshot()
-        assert snapshot["serve.degraded_decisions"] == 2
-        assert snapshot["serve.breaker_trips"] >= 1
-        # Injected timeouts roll up as timeouts (matching the live
-        # session's counter split), not as generic failures.
-        assert snapshot["serve.consult_timeouts"] > 0
-        assert "serve.consult_failures" not in snapshot

@@ -2,6 +2,9 @@
 
 import io
 import json
+import re
+
+import pytest
 
 from repro.core.cli import main as root_main
 from repro.slo.cli import main as slo_main
@@ -70,6 +73,42 @@ class TestRunning:
         lines = trace.read_text(encoding="utf-8").splitlines()
         assert lines and all(json.loads(line) for line in lines)
 
+    @pytest.mark.parametrize(
+        "overrides, degraded",
+        [
+            ({}, "0 degraded decision(s) (0.0%)"),
+            (
+                {"deadline_ms": 30000.0, "faults": ["consult:timeout"]},
+                "2 degraded decision(s) (100.0%)",
+            ),
+        ],
+        ids=["clean", "all-timeouts"],
+    )
+    def test_wall_clock_replay_reports_and_traces(
+        self, tmp_path, overrides, degraded
+    ):
+        scenario = tiny_scenario_file(
+            tmp_path,
+            **{"clock": "wall", "deadline_ms": None, **overrides},
+        )
+        trace = tmp_path / "wall.jsonl"
+        out = io.StringIO()
+        code = slo_main(
+            ["--scenario", str(scenario), "--trace", str(trace)], out
+        )
+        assert code == 0
+        text = out.getvalue()
+        assert "wall clock" in text
+        assert "2/2 decided" in text
+        assert degraded in text
+        trips = int(re.search(r"breaker +(\d+) trip", text).group(1))
+        assert (trips >= 1) == bool(overrides)
+        names = {
+            json.loads(line).get("name")
+            for line in trace.read_text(encoding="utf-8").splitlines()
+        }
+        assert {"stream", "push"} <= names
+
 
 class TestExitCodes:
     def test_unknown_scenario_is_a_config_error(self):
@@ -86,6 +125,36 @@ class TestExitCodes:
         out = io.StringIO()
         assert slo_main(["--scenario", str(path)], out) == 2
         assert "non-empty" in out.getvalue()
+
+    def test_bad_fault_spec_in_a_scenario_file_is_a_config_error(
+        self, tmp_path
+    ):
+        scenario = tiny_scenario_file(tmp_path, faults=["network:melt"])
+        out = io.StringIO()
+        assert slo_main(["--scenario", str(scenario)], out) == 2
+        assert "error: unknown fault stage 'network'" in out.getvalue()
+
+    def test_unknown_algorithm_fails_before_any_training(
+        self, tmp_path, monkeypatch
+    ):
+        trained = []
+        monkeypatch.setattr(
+            "repro.slo.harness.wrap_for_dataset",
+            lambda factory, train: trained.append(train),
+        )
+        scenario = tiny_scenario_file(
+            tmp_path,
+            streams=[
+                {"dataset": "PowerCons", "algorithm": "TEASER"},
+                {"dataset": "PowerCons", "algorithm": "ORACLE"},
+            ],
+        )
+        out = io.StringIO()
+        assert slo_main(["--scenario", str(scenario)], out) == 2
+        text = out.getvalue()
+        assert "error: unknown algorithm name(s): ORACLE" in text
+        assert "(registered: ECEC, " in text
+        assert trained == []
 
     def test_unknown_key_error_is_actionable(self, tmp_path):
         path = tmp_path / "typo.json"

@@ -2,7 +2,9 @@
 
 Everything runs on tiny injected registries (a 24-instance sinusoid
 dataset and a minimal ECTS) so the whole module stays fast; the bundled
-scenarios are exercised by ``benchmarks/bench_serve.py`` and CI.
+scenarios are exercised by ``benchmarks/bench_serve.py`` and CI. Cases
+marked ``wall`` replay on the wall clock, measuring real consultation
+latencies instead of simulating them.
 """
 
 import json
@@ -13,7 +15,8 @@ from repro.core import AlgorithmRegistry, DatasetRegistry
 from repro.etsc import ECTS
 from repro.obs.metrics import metrics_from_spans
 from repro.obs.trace import Tracer, use_tracer
-from repro.slo import parse_scenario, run_scenario
+from repro.serve import ServeFaultPlan
+from repro.slo import Scenario, parse_scenario, run_scenario
 from tests.conftest import make_sinusoid_dataset
 
 
@@ -48,6 +51,24 @@ def replay(scenario):
     return run_scenario(scenario, algorithms=algorithms, datasets=datasets)
 
 
+def decision_tuples(report):
+    return [
+        (d.label, d.decided_at, d.confidence, d.degraded, d.source)
+        for d in report.decisions
+    ]
+
+
+#: A wall-clock replay with no deadline: nothing real timing can preempt.
+WALL = {"clock": "wall", "deadline_ms": None}
+#: A wall-clock replay whose every consultation times out (injected, so
+#: with zero real delay) under a deadline no real consult reaches.
+WALL_ALL_TIMEOUTS = {
+    "clock": "wall",
+    "deadline_ms": 30000.0,
+    "faults": ["consult:timeout"],
+}
+
+
 class TestDeterminism:
     def test_same_scenario_reproduces_byte_for_byte(self):
         first = replay(tiny_scenario())
@@ -65,6 +86,14 @@ class TestDeterminism:
         # The core is exactly the full report minus environment.
         full.pop("environment")
         assert full == core
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, WALL], ids=["virtual", "wall"]
+    )
+    def test_repeated_replays_reach_the_same_decisions(self, overrides):
+        first = replay(tiny_scenario(**overrides))
+        second = replay(tiny_scenario(**overrides))
+        assert decision_tuples(first) == decision_tuples(second)
 
     def test_different_seed_changes_the_trajectory(self):
         first = replay(tiny_scenario(seed=3))
@@ -93,15 +122,15 @@ class TestReportShape:
         assert report.throughput_per_second > 0
 
     def test_wall_clock_mode_measures_instead_of_simulating(self):
-        scenario = tiny_scenario(
-            clock="wall",
-            deadline_ms=None,
-            streams=[{"dataset": "sinusoid", "algorithm": "ECTS", "count": 1}],
-        )
-        report = replay(scenario)
-        assert report.n_decided == 1
+        report = replay(tiny_scenario(**WALL))
+        assert report.n_decided == report.n_streams == 3
         assert report.latency is not None
+        assert report.latency.count == report.n_consults >= 3
         assert report.environment["wall_seconds"] > 0
+        # A clean replay is served by the model alone.
+        assert all(d.source == "model" for d in report.decisions)
+        assert report.degraded_decisions == 0
+        assert report.breaker_trips == 0
 
 
 class TestSloMechanisms:
@@ -109,12 +138,36 @@ class TestSloMechanisms:
         # Service floor (1ms base) sits above the deadline: every model
         # consult times out, the breaker cycles, and all decisions come
         # from the fallback.
-        report = replay(tiny_scenario(deadline_ms=0.5))
+        self.check_every_decision_degraded(tiny_scenario(deadline_ms=0.5))
+
+    def test_wall_clock_timeouts_degrade_every_decision(self):
+        # The same on the wall clock, every consult timing out by
+        # injection: every stream still decides, from the fallback.
+        self.check_every_decision_degraded(tiny_scenario(**WALL_ALL_TIMEOUTS))
+
+    @staticmethod
+    def check_every_decision_degraded(scenario):
+        report = replay(scenario)
         assert report.deadline_misses > 0
         assert report.breaker_trips > 0
+        assert report.counters["serve.consult_timeouts"] > 0
         assert report.n_decided == 3
         assert report.degraded_decisions == 3
         assert report.degraded_decision_rate == 1.0
+        assert all(d.source == "fallback" for d in report.decisions)
+
+    def test_fault_scoped_to_an_absent_stream_changes_nothing(
+        self, monkeypatch
+    ):
+        # The chaos path is pure observation until a fault fires: a
+        # timeout scoped to a stream name that never occurs leaves the
+        # replay identical to a clean one.
+        plan = ServeFaultPlan().timeout_consult(at=None, stream="nowhere")
+        clean = replay(tiny_scenario(**WALL))
+        monkeypatch.setattr(Scenario, "fault_plan", lambda self: plan)
+        scoped = replay(tiny_scenario(**WALL))
+        assert plan.injected == []
+        assert decision_tuples(scoped) == decision_tuples(clean)
 
     def test_bursty_queueing_misses_without_any_timeout(self):
         # Per-consult service (5ms) is comfortably under the 8ms
@@ -148,12 +201,18 @@ class TestSloMechanisms:
 
 class TestTraceRollup:
     def test_trace_rollup_matches_live_report_exactly(self):
-        # Satellite check: replaying under a tracer and re-aggregating
-        # the spans must reproduce the live SLO counters *exactly* —
-        # the trace is a complete record, not a sample.
-        scenario = tiny_scenario(
-            deadline_ms=3.0, faults=["consult:timeout:5"]
+        # Replaying under a tracer and re-aggregating the spans must
+        # reproduce the live SLO counters *exactly* — the trace is a
+        # complete record, not a sample.
+        self.check_rollup(
+            tiny_scenario(deadline_ms=3.0, faults=["consult:timeout:5"])
         )
+
+    def test_wall_clock_trace_rollup_matches_live_report_exactly(self):
+        self.check_rollup(tiny_scenario(**WALL_ALL_TIMEOUTS))
+
+    @staticmethod
+    def check_rollup(scenario):
         tracer = Tracer()
         with use_tracer(tracer):
             report = replay(scenario)
@@ -166,9 +225,14 @@ class TestTraceRollup:
             snapshot.get("serve.degraded_decisions", 0)
             == report.degraded_decisions
         )
+        assert snapshot.get("serve.breaker_trips", 0) == report.breaker_trips
         assert (
             snapshot["slo.response_seconds"]["count"] == report.n_consults
         )
+        # Injected timeouts roll up as timeouts (the live session's
+        # counter split), not as generic failures.
+        assert snapshot["serve.consult_timeouts"] > 0
+        assert "serve.consult_failures" not in snapshot
 
     def test_breaker_open_skips_do_not_inflate_degraded_rollup(self):
         # A stuck-open breaker serves many mid-stream consultations from
@@ -207,9 +271,9 @@ class TestTraceRollup:
 
 class TestRender:
     def test_render_mentions_the_headline_numbers(self):
-        report = replay(tiny_scenario())
-        text = report.render()
-        assert "scenario 'tiny'" in text
-        assert "deadline miss(es)" in text
-        assert "p99.9" in text
-        assert "jitter" in text
+        for overrides in ({}, WALL):
+            text = replay(tiny_scenario(**overrides)).render()
+            assert "scenario 'tiny'" in text
+            assert "deadline miss(es)" in text
+            assert "p99.9" in text
+            assert "jitter" in text

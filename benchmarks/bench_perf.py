@@ -18,7 +18,9 @@ Unlike the ``bench_*`` figure benches, this file is a standalone script
 ``--check`` compares *speedups* (vectorised vs naive, both measured in
 the same process on the same machine) rather than absolute seconds, so
 the gate is meaningful across CI runner generations: it fails when any
-kernel's speedup fell below half of the committed baseline's.
+kernel's speedup fell below half of the committed baseline's. It fails
+closed: a baseline that gates no kernel, or a kernel measured here that
+has no baseline row, is a failure, not a pass.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.stats.backends import (
     tolerance_for,
 )
 from repro.stats.distance import PrefixDistanceCache, pairwise_squared_euclidean
-from repro.stats.dtw import dtw_distance, dtw_distance_matrix
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _harness import make_benchmark_dataset  # noqa: E402
@@ -54,31 +55,6 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PERF.json"
 
 # ---------------------------------------------------------------------------
 # Naive baselines: faithful reimplementations of the historical loops.
-
-
-def _naive_dtw(first: np.ndarray, second: np.ndarray) -> float:
-    """The historical row-at-a-time DP (vectorised along columns only)."""
-    n, m = len(first), len(second)
-    previous = np.full(m + 1, np.inf)
-    previous[0] = 0.0
-    for i in range(n):
-        current = np.full(m + 1, np.inf)
-        cost = (first[i] - second) ** 2
-        for j in range(m):
-            current[j + 1] = cost[j] + min(
-                previous[j], previous[j + 1], current[j]
-            )
-        previous = current
-    return float(np.sqrt(previous[m]))
-
-
-def _naive_dtw_matrix(rows: np.ndarray) -> np.ndarray:
-    n_rows = rows.shape[0]
-    distances = np.zeros((n_rows, n_rows))
-    for i in range(n_rows):
-        for j in range(i + 1, n_rows):
-            distances[i, j] = distances[j, i] = _naive_dtw(rows[i], rows[j])
-    return distances
 
 
 def _naive_prefix_scan(references: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -196,34 +172,6 @@ def _bench_op(name, fast, naive, repeats, ops, check_close=None):
 def _kernel_benchmarks(quick: bool, repeats: int) -> dict:
     rng = np.random.default_rng(0)
     ops: dict[str, dict] = {}
-
-    length = 120 if quick else 256
-    a, b = rng.normal(size=length), rng.normal(size=length)
-    _bench_op(
-        "dtw_distance",
-        lambda: dtw_distance(a, b),
-        lambda: _naive_dtw(a, b),
-        repeats,
-        ops,
-        # The row-based baseline performs the same per-cell operations as
-        # the anti-diagonal kernel, so the declared tolerance is exact.
-        check_close=_conformance_check(
-            tolerance_for("numpy", "dtw"), inputs=(a, b)
-        ),
-    )
-
-    n_rows, row_length = (14, 50) if quick else (30, 80)
-    matrix = rng.normal(size=(n_rows, row_length))
-    _bench_op(
-        "dtw_distance_matrix",
-        lambda: dtw_distance_matrix(matrix),
-        lambda: _naive_dtw_matrix(matrix),
-        repeats,
-        ops,
-        check_close=_conformance_check(
-            tolerance_for("numpy", "dtw_matrix"), inputs=(matrix,)
-        ),
-    )
 
     # Near full sizes even in quick mode: the cache's advantage grows
     # with stream length, so a smaller scan would make the CI gate's
@@ -358,12 +306,21 @@ def _grid_benchmarks(quick: bool, ops: dict) -> None:
 _GATE_FACTOR = 2.0
 
 
+def _gated(ops: dict) -> set[str]:
+    # Wall-clock of forked workers is too noisy to gate.
+    return {op for op in ops if not op.startswith("grid_")}
+
+
 def _check(current: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    gated = _gated(baseline.get("ops", {}))
     failures = []
-    for op, reference in baseline["ops"].items():
-        if op.startswith("grid_"):
-            continue  # wall-clock of forked workers is too noisy to gate
+    if not gated:
+        failures.append(f"{baseline_path}: the baseline gates no kernel")
+    for op in sorted(_gated(current["ops"]) - gated):
+        failures.append(f"{op}: missing from the committed baseline")
+    for op in sorted(gated):
+        reference = baseline["ops"][op]
         measured = current["ops"].get(op)
         if measured is None:
             failures.append(f"{op}: missing from this run")

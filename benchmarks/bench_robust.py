@@ -23,8 +23,10 @@ epsilon against the committed baseline — corruption must never leak
 into the clean cells — or (b) any robustness-AUC fell below half its
 committed value (the factor-of-two philosophy of perf-smoke: loose
 enough for cross-version numeric noise, tight enough to catch a broken
-operator or a collapsed classifier). ``--determinism`` runs the grid
-twice and fails on any byte-level difference.
+operator or a collapsed classifier). The gate fails closed: a baseline
+with no clean cells or no AUC entries, or a clean cell or AUC entry
+measured here that the baseline lacks, is a failure. ``--determinism``
+runs the grid twice and fails on any byte-level difference.
 """
 
 from __future__ import annotations
@@ -93,9 +95,46 @@ def _check_determinism() -> int:
     return 0
 
 
+def _clean_cells(report: dict) -> set[tuple[str, str]]:
+    return {
+        (algorithm, dataset)
+        for algorithm, per_dataset in report.get("clean", {}).items()
+        for dataset in per_dataset
+    }
+
+
+def _auc_entries(report: dict) -> set[tuple[str, str, str]]:
+    return {
+        (op_label, algorithm, metric)
+        for op_label, per_algorithm in report.get("robustness", {}).items()
+        for algorithm, entry in per_algorithm.items()
+        for metric in entry.get("auc", {})
+    }
+
+
 def _check(current: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     failures = []
+    # Fail closed: an empty baseline gates nothing, and a cell this run
+    # measured but the baseline lacks would otherwise pass unchecked.
+    baseline_cells = _clean_cells(baseline)
+    baseline_aucs = _auc_entries(baseline)
+    if not baseline_cells:
+        failures.append(f"{baseline_path}: the baseline has no clean cells")
+    if not baseline_aucs:
+        failures.append(f"{baseline_path}: the baseline has no AUC entries")
+    for algorithm, dataset in sorted(_clean_cells(current) - baseline_cells):
+        failures.append(
+            f"clean {algorithm}/{dataset}: missing from the committed "
+            "baseline"
+        )
+    for op_label, algorithm, metric in sorted(
+        _auc_entries(current) - baseline_aucs
+    ):
+        failures.append(
+            f"auc {algorithm}/{op_label}/{metric}: missing from the "
+            "committed baseline"
+        )
     # (a) Severity-0 no-op gate: the clean cells are shared with the
     # plain grid and must be unmoved by the corruption machinery.
     for algorithm, per_dataset in baseline.get("clean", {}).items():

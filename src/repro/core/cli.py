@@ -232,16 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(strict partitioning)"
         ),
     )
-    parser.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help=(
-            "kernel backend for the hot numerical ops (naive/numpy/"
-            "numpy32; default: $REPRO_KERNEL_BACKEND or numpy); forked "
-            "grid workers inherit the selection"
-        ),
-    )
     return parser
 
 
@@ -289,15 +279,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if argv and argv[0] == "merge-checkpoints":
         return merge_checkpoints_main(argv[1:], out)
     arguments = build_parser().parse_args(argv)
-    if arguments.kernel_backend:
-        from ..exceptions import ConfigurationError
-        from ..stats.backends import set_default_backend
-
-        try:
-            set_default_backend(arguments.kernel_backend)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=out)
-            return 2
     if arguments.log_level or arguments.progress:
         from ..obs.logging import configure_logging
 

@@ -7,7 +7,7 @@ from .edsc import EDSC, Shapelet
 from .extensions import FixedPrefix, MoriSR
 from .moo import ConfigurationPoint, MultiObjectiveETSC, pareto_front
 from .sprt import SPRTClassifier
-from .strut import STRUT, s_dtw, s_mini, s_mlstm, s_weasel
+from .strut import STRUT, s_mini, s_mlstm, s_weasel
 from .teaser import TEASER
 from .tsmote import TSMOTEWrapper, temporal_smote
 
@@ -26,7 +26,6 @@ __all__ = [
     "temporal_smote",
     "SPRTClassifier",
     "STRUT",
-    "s_dtw",
     "s_mini",
     "s_mlstm",
     "s_weasel",

@@ -59,9 +59,8 @@ class Shapelet:
 def _best_match_distances(pattern: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Best-matching (minimum alignment) distance of a pattern to each row.
 
-    Delegates to the kernel-backend-dispatched
-    :func:`~repro.stats.distance.best_match_distances` (the
-    ``shapelet_match`` op); ``sqrt`` and ``min`` commute on non-negative
+    Delegates to :func:`~repro.stats.distance.best_match_distances` (the
+    ``shapelet_match`` kernel op); ``sqrt`` and ``min`` commute on non-negative
     values, so the result is identical to the historical per-row
     ``sqrt(min(...))`` form.
     """

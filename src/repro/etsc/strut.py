@@ -39,7 +39,7 @@ from ..tsc.minirocket import MiniROCKET
 from ..tsc.mlstm_fcn import MLSTMFCN
 from ..tsc.weasel import WEASEL
 
-__all__ = ["STRUT", "s_mini", "s_weasel", "s_mlstm", "s_dtw"]
+__all__ = ["STRUT", "s_mini", "s_weasel", "s_mlstm"]
 
 _METRICS = ("accuracy", "f1", "harmonic-mean")
 _DEFAULT_FRACTIONS = (0.05, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -244,28 +244,6 @@ def s_weasel(
     """S-WEASEL: STRUT over WEASEL / WEASEL+MUSE."""
     return STRUT(
         classifier_factory=lambda: WEASEL(n_window_sizes=3, chi2_top_k=100),
-        metric=metric,
-        search=search,
-        seed=seed,
-    )
-
-
-def s_dtw(
-    metric: str = "harmonic-mean",
-    search: str = "binary",
-    window: int | None = 5,
-    seed: int = 0,
-) -> STRUT:
-    """S-DTW: STRUT over 1-NN-DTW (framework extension).
-
-    Not part of the paper's evaluated set; included to demonstrate that any
-    :class:`~repro.core.base.FullTSClassifier` slots into STRUT, using the
-    bake-off literature's classic baseline.
-    """
-    from ..stats.dtw import DTWClassifier
-
-    return STRUT(
-        classifier_factory=lambda: DTWClassifier(window=window),
         metric=metric,
         search=search,
         seed=seed,

@@ -157,17 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable repro logging at LEVEL (debug/info/warning/error)",
     )
-    parser.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help=(
-            "kernel backend for the hot numerical ops (naive/numpy/"
-            "numpy32; default: $REPRO_KERNEL_BACKEND or numpy); forked "
-            "shard workers inherit the selection, and reports are "
-            "byte-identical across conforming backends"
-        ),
-    )
     return parser
 
 
@@ -222,14 +211,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """``serve-fleet`` entry point; returns a process exit code."""
     out = out or sys.stdout
     arguments = build_parser().parse_args(argv)
-    if arguments.kernel_backend:
-        from ..stats.backends import set_default_backend
-
-        try:
-            set_default_backend(arguments.kernel_backend)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=out)
-            return 2
     if arguments.log_level:
         from ..obs.logging import configure_logging
 

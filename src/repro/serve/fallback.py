@@ -19,12 +19,9 @@ earliness trigger of their own, so a streaming session only ever commits
 them as the forced final decision.
 
 The prefix-1-NN consult path runs on
-:class:`~repro.stats.distance.PrefixDistanceCache`, which dispatches its
-accumulation step to the active kernel backend — backend selection
-(``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``) therefore reaches
-degraded serving without any code here changing, and the conformance
-policy guarantees the ``naive``/``numpy`` backends produce bit-identical
-fallback decisions.
+:class:`~repro.stats.distance.PrefixDistanceCache`, whose ``prefix_step``
+kernel op the conformance policy declares exact: the ``numpy`` kernels
+and the ``naive`` reference produce bit-identical fallback decisions.
 """
 
 from __future__ import annotations

@@ -1,14 +1,7 @@
 """From-scratch statistical/ML substrates used by the ETSC algorithms."""
 
-from .backends import (
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
+from .backends import get_backend
 from .boosting import GradientBoostingClassifier
-from .dtw import DTWClassifier, dtw_distance, dtw_distance_matrix
 from .distance import (
     best_match_distances,
     euclidean,
@@ -35,15 +28,8 @@ from .svm import OneClassSVM, rbf_kernel
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
-    "available_backends",
     "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "use_backend",
     "GradientBoostingClassifier",
-    "DTWClassifier",
-    "dtw_distance",
-    "dtw_distance_matrix",
     "euclidean",
     "squared_euclidean",
     "pairwise_squared_euclidean",

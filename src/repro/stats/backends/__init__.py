@@ -1,35 +1,23 @@
-"""Pluggable kernel backend registry.
+"""Kernel backends: the production ``numpy`` kernels and their oracle.
 
-Every hot numerical op — DTW, window/shapelet matching, prefix-distance
-accumulation, the Lloyd k-means step — dispatches through this registry,
-so one switch swaps the numerical substrate of the whole framework:
+Every hot numerical op — window/shapelet matching, prefix-distance
+accumulation, pairwise distances, the Lloyd k-means step — is a method of
+a :class:`KernelBackend`. Two backends exist, and nothing selects between
+them at run time:
 
-* ``naive`` — pure-python reference loops (the conformance oracle);
-* ``numpy`` — the vectorised float64 kernels (default);
-* ``numpy32`` — the same kernels at float32 with a tighter DTW memory
-  budget.
+* ``numpy`` — the vectorised float64 kernels every call site uses
+  (:data:`DEFAULT_BACKEND`);
+* ``naive`` — pure-python reference loops, kept only as the oracle the
+  conformance tests (``tests/stats/test_backend_conformance.py``) compare
+  ``numpy`` against, op by op, at its declared
+  :class:`~.base.OpTolerance`.
 
-Selection, in priority order:
-
-1. an explicit ``backend=`` argument at a call site or
-   :class:`~repro.stats.distance.PrefixDistanceCache` constructor;
-2. the innermost active :func:`use_backend` context;
-3. :func:`set_default_backend` (what the ``--kernel-backend`` CLI flag
-   calls before a run starts — forked grid/fleet workers inherit it);
-4. the ``REPRO_KERNEL_BACKEND`` environment variable;
-5. the built-in default, ``numpy``.
-
-Registering a new backend is enough to put it under differential test:
-``tests/stats/test_backend_conformance.py`` parametrises over
-:func:`available_backends` and checks every op against the ``naive``
-reference at the backend's *declared* :class:`~.base.OpTolerance` — see
-``docs/performance.md`` for the how-to.
+:func:`get_backend` and :class:`~repro.stats.distance.PrefixDistanceCache`
+take a backend name, so a test can substitute the reference; see
+``docs/performance.md`` for adding an op.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from ...exceptions import ConfigurationError
 from .base import (
@@ -41,11 +29,9 @@ from .base import (
     input_scale,
 )
 from .naive import NaiveBackend
-from .numpy32 import Numpy32Backend
 from .numpy_backend import NumpyBackend
 
 __all__ = [
-    "ENV_VAR",
     "DEFAULT_BACKEND",
     "OPS",
     "EXACT",
@@ -53,120 +39,33 @@ __all__ = [
     "KernelBackend",
     "assert_conformant",
     "input_scale",
-    "register_backend",
-    "unregister_backend",
-    "available_backends",
     "get_backend",
-    "active_backend_name",
-    "set_default_backend",
-    "use_backend",
     "tolerance_for",
 ]
 
-#: Environment variable consulted when no explicit selection was made.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Fallback when nothing selects a backend.
+#: The backend every call site gets; read at call time, so a test can
+#: monkeypatch it (forked workers inherit the patched value).
 DEFAULT_BACKEND = "numpy"
 
-_REGISTRY: dict[str, KernelBackend] = {}
-_default_name: str | None = None
-_override_stack: list[str] = []
+_BACKENDS: dict[str, KernelBackend] = {
+    backend.name: backend for backend in (NaiveBackend(), NumpyBackend())
+}
 
 
-def register_backend(backend: KernelBackend, replace: bool = False) -> None:
-    """Register a backend instance under its ``name``.
-
-    Registration is all a new backend needs to be picked up by the
-    conformance suite. ``replace=False`` refuses to shadow an existing
-    name so test doubles cannot silently hijack production kernels.
-    """
-    if not isinstance(backend, KernelBackend):
-        raise ConfigurationError(
-            f"register_backend expects a KernelBackend, got {backend!r}"
-        )
-    backend.validate()
-    if backend.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"kernel backend {backend.name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _REGISTRY[backend.name] = backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (test cleanup; built-ins refuse)."""
-    if name in (NaiveBackend.name, NumpyBackend.name, Numpy32Backend.name):
-        raise ConfigurationError(f"cannot unregister built-in backend {name!r}")
-    _REGISTRY.pop(name, None)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def _resolve(name: str) -> KernelBackend:
+def get_backend(name: str | None = None) -> KernelBackend:
+    """The backend called ``name`` (``None``: :data:`DEFAULT_BACKEND`)."""
+    if name is None:
+        name = DEFAULT_BACKEND
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown kernel backend {name!r}; "
-            f"registered: {', '.join(available_backends())}"
+            f"known: {', '.join(sorted(_BACKENDS))}"
         ) from None
 
 
-def get_backend(
-    backend: "str | KernelBackend | None" = None,
-) -> KernelBackend:
-    """Resolve a backend selection to an instance.
-
-    ``None`` resolves the *active* backend: the innermost
-    :func:`use_backend` context, else the :func:`set_default_backend`
-    choice, else ``$REPRO_KERNEL_BACKEND``, else ``numpy``.
-    """
-    if isinstance(backend, KernelBackend):
-        return backend
-    if backend is not None:
-        return _resolve(backend)
-    if _override_stack:
-        return _resolve(_override_stack[-1])
-    if _default_name is not None:
-        return _resolve(_default_name)
-    return _resolve(os.environ.get(ENV_VAR) or DEFAULT_BACKEND)
-
-
-def active_backend_name() -> str:
-    """Name of the backend :func:`get_backend` would currently return."""
-    return get_backend().name
-
-
-def set_default_backend(name: "str | None") -> None:
-    """Pin the process-wide default (``None`` restores env/built-in).
-
-    This is what the ``--kernel-backend`` CLI flag calls before a run;
-    forked grid and fleet workers inherit the setting.
-    """
-    if name is not None:
-        _resolve(name)  # fail fast on unknown names
-    global _default_name
-    _default_name = name
-
-
-@contextmanager
-def use_backend(backend: "str | KernelBackend"):
-    """Scoped backend override (nestable); yields the instance."""
-    instance = get_backend(backend)
-    _override_stack.append(instance.name)
-    try:
-        yield instance
-    finally:
-        _override_stack.pop()
-
-
-def tolerance_for(
-    backend: "str | KernelBackend", op: str
-) -> OpTolerance:
+def tolerance_for(backend: str, op: str) -> OpTolerance:
     """The declared conformance tolerance of ``backend``'s ``op`` vs the
     naive reference — the single policy tests and benchmarks assert
     through."""
@@ -174,8 +73,3 @@ def tolerance_for(
     if op not in OPS:
         raise ConfigurationError(f"unknown kernel op {op!r}; known: {OPS}")
     return instance.tolerances[op]
-
-
-register_backend(NaiveBackend())
-register_backend(NumpyBackend())
-register_backend(Numpy32Backend())

@@ -1,12 +1,11 @@
 """Kernel backend contract and the cross-backend tolerance policy.
 
 A :class:`KernelBackend` bundles one implementation of every *hot op* the
-distance-based algorithms funnel through — DTW (pairwise and all-pairs),
-sliding-window/shapelet matching, incremental prefix-distance updates,
-and the Lloyd k-means step. Call sites never pick an implementation
-directly: they dispatch through :func:`repro.stats.backends.get_backend`,
-so swapping the whole numerical substrate is one environment variable
-(``REPRO_KERNEL_BACKEND``) or CLI flag.
+distance-based algorithms funnel through — sliding-window/shapelet
+matching, incremental prefix-distance updates, pairwise squared
+distances, and the Lloyd k-means step. Call sites reach the ops through
+:func:`repro.stats.backends.get_backend`, which returns the ``numpy``
+backend.
 
 Every backend also *declares its numerical contract*: for each op, an
 :class:`OpTolerance` describing how far its results may drift from the
@@ -18,8 +17,8 @@ benchmarks. The policy distinguishes two classes of op:
 
 * **Exact ops** (``OpTolerance.exact``): the vectorised code performs the
   same IEEE-754 operations in the same per-element order as the
-  reference loop (DTW's per-cell recurrence, the prefix cache's
-  sequential accumulation), so results must be *bit-identical*.
+  reference loop (the prefix cache's sequential accumulation), so
+  results must be *bit-identical*.
 * **Reordered-reduction ops**: the fast path sums in an
   implementation-defined order (SIMD-unrolled ``einsum``, BLAS GEMM for
   the k-means indicator product, the expanded ``|a|^2 - 2ab + |b|^2``
@@ -48,8 +47,6 @@ __all__ = [
 
 #: The hot ops every backend must implement (and declare a tolerance for).
 OPS = (
-    "dtw",
-    "dtw_matrix",
     "sliding_window",
     "shapelet_match",
     "prefix_step",
@@ -132,46 +129,15 @@ def assert_conformant(
 class KernelBackend(ABC):
     """One implementation of the hot numerical kernels.
 
-    Subclasses set ``name``, ``dtype`` (the working precision), and
-    ``tolerances`` (op name -> :class:`OpTolerance` vs the naive
-    float64 reference — the registry refuses backends whose policy does
-    not cover every op in :data:`OPS`).
-
-    All ops receive float64-validated inputs from the public wrappers in
-    :mod:`repro.stats.dtw` / :mod:`repro.stats.distance`; backends cast
-    to their working precision via :meth:`prepare`.
+    Subclasses set ``name`` and ``tolerances`` (op name ->
+    :class:`OpTolerance` vs the naive float64 reference, one entry per op
+    in :data:`OPS`). All ops receive float64 inputs already validated by
+    their callers in :mod:`repro.stats.distance` and
+    :mod:`repro.stats.kmeans`.
     """
 
     name: str = ""
-    dtype = np.float64
     tolerances: dict = {}
-
-    def prepare(self, array: np.ndarray) -> np.ndarray:
-        """Cast an array to the backend's working precision (no-op copy
-        avoidance when the dtype already matches)."""
-        return np.asarray(array, dtype=self.dtype)
-
-    # -- DTW ------------------------------------------------------------
-    @abstractmethod
-    def dtw(
-        self,
-        first: np.ndarray,
-        second: np.ndarray,
-        window: int | None = None,
-        max_sq_dist: float | None = None,
-    ) -> float:
-        """Squared DTW distance of two 1-D series (``inf`` once the
-        early-abandon bound ``max_sq_dist`` is provably exceeded)."""
-
-    @abstractmethod
-    def dtw_matrix(
-        self,
-        rows: np.ndarray,
-        others: np.ndarray,
-        window: int | None,
-        symmetric: bool,
-    ) -> np.ndarray:
-        """All-pairs DTW *distances* (square-rooted) between row series."""
 
     # -- window matching ------------------------------------------------
     @abstractmethod
@@ -216,17 +182,5 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """All-pairs squared Euclidean distances between row vectors."""
 
-    # --------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the backend declares a name and a full tolerance map."""
-        if not self.name:
-            raise ValueError(f"{type(self).__name__} has no name")
-        missing = [op for op in OPS if op not in self.tolerances]
-        if missing:
-            raise ValueError(
-                f"backend {self.name!r} declares no tolerance for "
-                f"op(s): {', '.join(missing)}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<KernelBackend {self.name!r} dtype={np.dtype(self.dtype).name}>"
+        return f"<KernelBackend {self.name!r}>"

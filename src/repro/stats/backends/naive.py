@@ -3,10 +3,9 @@
 Extracted from the in-file baselines of ``benchmarks/bench_perf.py``:
 scalar loops with no vectorised reductions, so every accumulation order
 is explicit and auditable. This backend *is* the conformance reference —
-every other backend's :class:`~.base.OpTolerance` is declared against
+the ``numpy`` backend's :class:`~.base.OpTolerance` is declared against
 it — which is why correctness here is prioritised over speed (orders of
-magnitude slower than ``numpy``; select it only for differential testing
-or debugging suspected kernel bugs).
+magnitude slower than ``numpy``; only tests call it).
 
 NaN semantics deliberately mirror numpy's so exact-op comparisons hold on
 the NaN corpus: ``min``/``minimum`` propagate NaN, and ``argmin``/
@@ -20,7 +19,7 @@ import math
 
 import numpy as np
 
-from .base import EXACT, KernelBackend
+from .base import EXACT, OPS, KernelBackend
 
 __all__ = ["NaiveBackend"]
 
@@ -56,67 +55,7 @@ class NaiveBackend(KernelBackend):
     """Scalar pure-python kernels — the conformance reference."""
 
     name = "naive"
-    dtype = np.float64
-    tolerances = {op: EXACT for op in (
-        "dtw",
-        "dtw_matrix",
-        "sliding_window",
-        "shapelet_match",
-        "prefix_step",
-        "kmeans_update",
-        "pairwise_sqeuclidean",
-    )}
-
-    # -- DTW ------------------------------------------------------------
-    def dtw(self, first, second, window=None, max_sq_dist=None):
-        # The same anti-diagonal sweep as the batched kernel, cell by
-        # cell in python floats: identical per-cell arithmetic *and*
-        # identical early-abandon decisions.
-        from .numpy_backend import _band_limits
-
-        first = [float(x) for x in np.asarray(first, dtype=float)]
-        second = [float(x) for x in np.asarray(second, dtype=float)]
-        n, m = len(first), len(second)
-        inf = math.inf
-        prev2 = [inf] * (n + 1)
-        prev2[0] = 0.0
-        prev = [inf] * (n + 1)
-        for d in range(2, n + m + 1):
-            lo, hi = _band_limits(d, n, m, window)
-            current = [inf] * (n + 1)
-            for i in range(lo, hi + 1):
-                difference = first[i - 1] - second[d - i - 1]
-                current[i] = difference * difference + _fmin(
-                    _fmin(prev[i], prev[i - 1]), prev2[i - 1]
-                )
-            prev2, prev = prev, current
-            if max_sq_dist is not None:
-                frontier = inf
-                saw_nan = False
-                for value in prev:
-                    saw_nan = saw_nan or math.isnan(value)
-                    frontier = min(frontier, value) if not math.isnan(value) else frontier
-                for value in prev2:
-                    saw_nan = saw_nan or math.isnan(value)
-                    frontier = min(frontier, value) if not math.isnan(value) else frontier
-                if saw_nan:
-                    frontier = math.nan  # np.min propagates NaN
-                if frontier > max_sq_dist:
-                    return math.inf
-        return prev[n]
-
-    def dtw_matrix(self, rows, others, window, symmetric):
-        rows = np.asarray(rows, dtype=float)
-        others = rows if symmetric else np.asarray(others, dtype=float)
-        distances = np.zeros((rows.shape[0], others.shape[0]))
-        for i in range(rows.shape[0]):
-            start = i + 1 if symmetric else 0
-            for j in range(start, others.shape[0]):
-                distance = math.sqrt(self.dtw(rows[i], others[j], window))
-                distances[i, j] = distance
-                if symmetric:
-                    distances[j, i] = distance
-        return distances
+    tolerances = {op: EXACT for op in OPS}
 
     # -- window matching ------------------------------------------------
     def sliding_window(self, pattern, matrix):

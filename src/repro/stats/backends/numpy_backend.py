@@ -1,17 +1,14 @@
-"""The vectorised numpy kernel backend (the default).
+"""The vectorised numpy kernel backend (the one every call site uses).
 
-This is the code PR 5 landed — batched anti-diagonal DTW, stride-tricks
-window matching, incremental prefix accumulation, the indicator-GEMM
-Lloyd step — relocated behind the :class:`~.base.KernelBackend` contract
-and parametrised by dtype so the ``numpy32`` backend can reuse the same
-kernels at float32 with a tighter memory budget.
+Stride-tricks window matching, incremental prefix accumulation, the
+expanded-form pairwise distances and the indicator-GEMM Lloyd step, all
+at float64, behind the :class:`~.base.KernelBackend` contract.
 
 Tolerance policy vs the pure-python ``naive`` reference:
 
-* ``dtw`` / ``dtw_matrix`` / ``prefix_step`` are **exact**: every cell of
-  the DTW recurrence and every prefix accumulation performs the same
-  scalar operations in the same order as the reference loops, so results
-  are bit-identical (NaN propagation included).
+* ``prefix_step`` is **exact**: every prefix accumulation performs the
+  same scalar operations in the same order as the reference loop, so
+  results are bit-identical (NaN propagation included).
 * ``sliding_window`` / ``shapelet_match`` reduce via ``einsum``, whose
   SIMD accumulation order is implementation-defined; sums of squares are
   perfectly conditioned, so agreement is bounded at ``rtol=1e-12``.
@@ -28,87 +25,14 @@ import numpy as np
 
 from .base import EXACT, KernelBackend, OpTolerance
 
-__all__ = ["NumpyBackend", "_band_limits", "_dtw_batch"]
-
-#: Cap on the cost-tensor footprint of one batched DP block (bytes).
-_BLOCK_BUDGET_BYTES = 32_000_000
-
-
-def _band_limits(
-    d: int, n: int, m: int, window: int | None
-) -> tuple[int, int]:
-    """Valid ``i`` range of anti-diagonal ``d`` (cells ``D[i, d - i]``).
-
-    Grid indices are 1-based (``D`` is the ``(n+1, m+1)`` DP table);
-    ``window`` is the Sakoe-Chiba half-width constraint ``|i - j| <= w``.
-    """
-    lo = max(1, d - m)
-    hi = min(n, d - 1)
-    if window is not None:
-        # |2i - d| <= window
-        lo = max(lo, -((window - d) // 2))
-        hi = min(hi, (d + window) // 2)
-    return lo, hi
-
-
-def _dtw_batch(
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-    window: int | None,
-    max_sq_dist: float | None = None,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Squared DTW distances for a batch of equal-shape series pairs.
-
-    ``firsts``/``seconds`` are ``(P, n)`` / ``(P, m)``; the anti-diagonal
-    recurrence runs on a ``(P, n + 1)`` frontier so all ``P`` dynamic
-    programs advance in lockstep. ``max_sq_dist`` enables early abandon:
-    once *every* cell on the two most recent frontier diagonals exceeds it
-    (two, because diagonal path steps skip alternate anti-diagonals), no
-    path can finish below the bound and the whole batch returns ``inf``.
-    """
-    p, n = firsts.shape
-    m = seconds.shape[1]
-    cost = (firsts[:, :, None] - seconds[:, None, :]) ** 2  # (P, n, m)
-    # Anti-diagonals of ``cost`` are the diagonals of the column-reversed
-    # tensor — ``np.diagonal`` views them without fancy indexing.
-    flipped = cost[:, :, ::-1]
-    prev2 = np.full((p, n + 1), np.inf, dtype=dtype)
-    prev2[:, 0] = 0.0  # diagonal d=0 holds only D[0, 0]
-    # diagonal d=1: all boundary cells
-    prev = np.full((p, n + 1), np.inf, dtype=dtype)
-    for d in range(2, n + m + 1):
-        lo, hi = _band_limits(d, n, m, window)
-        current = np.full((p, n + 1), np.inf, dtype=dtype)
-        if lo <= hi:
-            # cost anti-diagonal d-2 starts at row index max(1, d-m) - 1.
-            base = max(1, d - m)
-            diag = flipped.diagonal(m - 1 - (d - 2), axis1=1, axis2=2)
-            costs = diag[:, lo - base : hi - base + 1]
-            current[:, lo : hi + 1] = costs + np.minimum(
-                np.minimum(
-                    prev[:, lo : hi + 1],       # insertion  D[i-1, j]...
-                    prev[:, lo - 1 : hi],       # deletion
-                ),
-                prev2[:, lo - 1 : hi],          # match      D[i-1, j-1]
-            )
-        prev2, prev = prev, current
-        if max_sq_dist is not None:
-            frontier = min(prev.min(), prev2.min())
-            if frontier > max_sq_dist:
-                return np.full(p, np.inf, dtype=dtype)
-    return prev[:, n]
+__all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorised float64 kernels — the production default."""
+    """Vectorised float64 kernels — the production backend."""
 
     name = "numpy"
-    dtype = np.float64
-    block_budget_bytes = _BLOCK_BUDGET_BYTES
     tolerances = {
-        "dtw": EXACT,
-        "dtw_matrix": EXACT,
         "prefix_step": EXACT,
         "sliding_window": OpTolerance(
             rtol=1e-12, atol=1e-12, scale_power=1,
@@ -129,47 +53,8 @@ class NumpyBackend(KernelBackend):
         ),
     }
 
-    # -- DTW ------------------------------------------------------------
-    def dtw(self, first, second, window=None, max_sq_dist=None):
-        first = self.prepare(first)
-        second = self.prepare(second)
-        return float(
-            _dtw_batch(
-                first[None, :], second[None, :], window, max_sq_dist,
-                dtype=self.dtype,
-            )[0]
-        )
-
-    def dtw_matrix(self, rows, others, window, symmetric):
-        rows = self.prepare(rows)
-        others = rows if symmetric else self.prepare(others)
-        n_rows, n = rows.shape
-        n_others, m = others.shape
-        if symmetric:
-            pair_i, pair_j = np.triu_indices(n_rows, k=1)
-        else:
-            grid_i, grid_j = np.meshgrid(
-                np.arange(n_rows), np.arange(n_others), indexing="ij"
-            )
-            pair_i, pair_j = grid_i.ravel(), grid_j.ravel()
-        distances = np.zeros((n_rows, n_others), dtype=self.dtype)
-        itemsize = np.dtype(self.dtype).itemsize
-        block = max(1, self.block_budget_bytes // max(1, n * m * itemsize))
-        for start in range(0, pair_i.size, block):
-            i_block = pair_i[start : start + block]
-            j_block = pair_j[start : start + block]
-            squared = _dtw_batch(
-                rows[i_block], others[j_block], window, dtype=self.dtype
-            )
-            distances[i_block, j_block] = np.sqrt(squared)
-        if symmetric:
-            distances[pair_j, pair_i] = distances[pair_i, pair_j]
-        return distances
-
     # -- window matching ------------------------------------------------
     def sliding_window(self, pattern, matrix):
-        pattern = self.prepare(pattern)
-        matrix = self.prepare(matrix)
         windows = np.lib.stride_tricks.sliding_window_view(
             matrix, pattern.size, axis=1
         )  # (N, L - w + 1, w), a view — no copy
@@ -191,8 +76,6 @@ class NumpyBackend(KernelBackend):
 
     # -- clustering -----------------------------------------------------
     def pairwise_sqeuclidean(self, rows, others):
-        rows = self.prepare(rows)
-        others = self.prepare(others)
         row_norms = np.einsum("ij,ij->i", rows, rows)
         other_norms = np.einsum("ij,ij->i", others, others)
         distances = (
@@ -201,8 +84,6 @@ class NumpyBackend(KernelBackend):
         return np.maximum(distances, 0.0)
 
     def kmeans_update(self, rows, centroids):
-        rows = self.prepare(rows)
-        centroids = self.prepare(centroids)
         distances = self.pairwise_sqeuclidean(rows, centroids)
         assignment = distances.argmin(axis=1)
         # Vectorised centroid update: a (k, n) membership indicator turns
@@ -212,7 +93,7 @@ class NumpyBackend(KernelBackend):
             assignment[None, :] == np.arange(len(centroids))[:, None]
         )
         counts = indicator.sum(axis=1)
-        sums = indicator.astype(self.dtype) @ rows
+        sums = indicator.astype(float) @ rows
         new_centroids = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():

@@ -2,11 +2,11 @@
 
 ECTS matches prefixes by Euclidean distance; EDSC aligns shapelets against
 every subseries of a candidate series and takes the minimum distance. Both
-primitives live here as validating wrappers that dispatch the heavy
-kernels — pairwise distances, window matching, incremental prefix
-accumulation — to the active kernel backend (see
+primitives live here as validating wrappers around the heavy kernels —
+pairwise distances, window matching, incremental prefix accumulation —
+which are ops of the ``numpy`` kernel backend (see
 :mod:`repro.stats.backends`), so the algorithm modules stay readable and
-every implementation stays swappable and conformance-tested.
+every kernel stays conformance-tested against the ``naive`` reference.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import DataError
-from .backends import KernelBackend, get_backend
+from .backends import get_backend
 
 __all__ = [
     "euclidean",
@@ -47,17 +47,14 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pairwise_squared_euclidean(
-    rows: np.ndarray,
-    others: np.ndarray | None = None,
-    backend: "str | KernelBackend | None" = None,
+    rows: np.ndarray, others: np.ndarray | None = None
 ) -> np.ndarray:
     """All-pairs squared Euclidean distances between row vectors.
 
     Returns an ``(n, m)`` matrix for ``rows`` of shape ``(n, d)`` and
     ``others`` of shape ``(m, d)`` (``others`` defaults to ``rows``).
-    ``backend`` overrides the active kernel backend for this call; the
-    vectorised backends use the expanded ``|a|^2 - 2ab + |b|^2`` form and
-    clip tiny negative values caused by floating-point cancellation.
+    The kernel uses the expanded ``|a|^2 - 2ab + |b|^2`` form and clips
+    tiny negative values caused by floating-point cancellation.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -68,7 +65,7 @@ def pairwise_squared_euclidean(
             f"others must be 2-D with {rows.shape[1]} columns, "
             f"got shape {others.shape}"
         )
-    return get_backend(backend).pairwise_sqeuclidean(rows, others)
+    return get_backend().pairwise_sqeuclidean(rows, others)
 
 
 def sliding_window_view(series: np.ndarray, window: int) -> np.ndarray:
@@ -101,9 +98,7 @@ def _validate_pattern_matrix(
 
 
 def sliding_window_distances(
-    pattern: np.ndarray,
-    matrix: np.ndarray,
-    backend: "str | KernelBackend | None" = None,
+    pattern: np.ndarray, matrix: np.ndarray
 ) -> np.ndarray:
     """Euclidean distance from ``pattern`` to every aligned window of
     every row.
@@ -111,32 +106,24 @@ def sliding_window_distances(
     For ``matrix`` of shape ``(N, L)`` and a pattern of width ``w``,
     returns the ``(N, L - w + 1)`` matrix of alignment distances — the
     whole EDSC matching table at once instead of a per-row Python loop.
-    ``backend`` overrides the active kernel backend for this call.
     """
     pattern, matrix = _validate_pattern_matrix(pattern, matrix)
-    return get_backend(backend).sliding_window(pattern, matrix)
+    return get_backend().sliding_window(pattern, matrix)
 
 
 def best_match_distances(
-    pattern: np.ndarray,
-    matrix: np.ndarray,
-    backend: "str | KernelBackend | None" = None,
+    pattern: np.ndarray, matrix: np.ndarray
 ) -> np.ndarray:
     """EDSC best-matching distance from ``pattern`` to every row.
 
     The minimum over the row's :func:`sliding_window_distances` — one
-    value per row, ``(N,)``. Backends may fuse the window table and the
-    min-reduction; ``backend`` overrides the active kernel backend.
+    value per row, ``(N,)`` — the ``shapelet_match`` kernel op.
     """
     pattern, matrix = _validate_pattern_matrix(pattern, matrix)
-    return get_backend(backend).shapelet_match(pattern, matrix)
+    return get_backend().shapelet_match(pattern, matrix)
 
 
-def min_subseries_distance(
-    series: np.ndarray,
-    pattern: np.ndarray,
-    backend: "str | KernelBackend | None" = None,
-) -> float:
+def min_subseries_distance(series: np.ndarray, pattern: np.ndarray) -> float:
     """Minimum Euclidean distance from ``pattern`` to any aligned subseries.
 
     This is EDSC's "best matching distance": the pattern slides across the
@@ -146,7 +133,7 @@ def min_subseries_distance(
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise DataError(f"series must be 1-D, got shape {series.shape}")
-    return float(best_match_distances(pattern, series[None, :], backend)[0])
+    return float(best_match_distances(pattern, series[None, :])[0])
 
 
 class PrefixDistanceCache:
@@ -171,10 +158,9 @@ class PrefixDistanceCache:
         Number of query streams advanced in lockstep (ECTS training
         advances all ``N`` training series against each other at once).
     backend:
-        Kernel backend for the accumulation step (name, instance, or
-        ``None`` for the active backend). Resolved once at construction;
-        references and the running sums live in the backend's working
-        precision.
+        Name of the kernel backend for the accumulation step (``None``:
+        the default ``numpy``). Tests pass ``"naive"`` to run the cache
+        on the reference kernels.
 
     ``advance`` consumes the queries' values at the next time-point and
     returns the updated ``(n_queries, N)`` squared-distance matrix —
@@ -187,7 +173,7 @@ class PrefixDistanceCache:
         self,
         references: np.ndarray,
         n_queries: int = 1,
-        backend: "str | KernelBackend | None" = None,
+        backend: str | None = None,
     ) -> None:
         references = np.asarray(references, dtype=float)
         if references.ndim not in (2, 3):
@@ -198,12 +184,10 @@ class PrefixDistanceCache:
         if n_queries < 1:
             raise DataError(f"n_queries must be >= 1, got {n_queries}")
         self._backend = get_backend(backend)
-        self._references = self._backend.prepare(references)
+        self._references = references
         self._multivariate = references.ndim == 3
         self._n_queries = n_queries
-        self._sq_distances = np.zeros(
-            (n_queries, references.shape[0]), dtype=self._backend.dtype
-        )
+        self._sq_distances = np.zeros((n_queries, references.shape[0]))
         self._t = 0
 
     @property
@@ -242,7 +226,7 @@ class PrefixDistanceCache:
             raise DataError(
                 f"cache already consumed all {self.max_length} time-points"
             )
-        values = self._backend.prepare(values)
+        values = np.asarray(values, dtype=float)
         if self._multivariate:
             column = self._references[:, :, self._t]  # (N, V)
             values = values.reshape(self._n_queries, -1)

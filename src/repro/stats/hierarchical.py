@@ -6,10 +6,9 @@ Lengths through the merge tree. This module provides the generic clustering:
 it records the full merge history so callers can replay merges one at a time,
 which is exactly what ECTS needs.
 
-The distance matrix comes from the kernel-backend-dispatched
-:func:`~repro.stats.distance.pairwise_squared_euclidean`, so backend
-selection (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``) reaches this
-module without any code here changing.
+The distance matrix comes from
+:func:`~repro.stats.distance.pairwise_squared_euclidean`, the
+``pairwise_sqeuclidean`` kernel op.
 """
 
 from __future__ import annotations

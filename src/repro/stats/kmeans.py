@@ -6,7 +6,7 @@ that clustering substrate, plus soft membership probabilities derived from
 distances (the paper's "cluster membership probability").
 
 The hot inner step — assignment distances plus the centroid update —
-dispatches to the active kernel backend's ``kmeans_update`` op (see
+is the ``numpy`` kernel backend's ``kmeans_update`` op (see
 :mod:`repro.stats.backends`); convergence and restart logic stay here.
 """
 
@@ -84,7 +84,6 @@ class KMeans:
         backend = get_backend()
         for _ in range(self.max_iter):
             new_centroids, _ = backend.kmeans_update(rows, centroids)
-            new_centroids = np.asarray(new_centroids, dtype=float)
             movement = np.sqrt(((new_centroids - centroids) ** 2).sum())
             centroids = new_centroids
             if movement <= self.tol * max(1.0, np.abs(centroids).max()):

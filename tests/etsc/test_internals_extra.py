@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import TimeSeriesDataset, train_test_split
 from repro.etsc import ECEC, TEASER, EconomyK
-from repro.stats import dtw_distance
 from repro.transform import SFATransformer, prefix_lengths, window_lengths
 from repro.tsc import WEASEL, MiniROCKET
 from repro.tsc.minirocket import _dilations_for_length
@@ -115,17 +114,6 @@ class TestSfaInternals:
         for row in sfa.boundaries_:
             finite = row[np.isfinite(row)]
             assert (np.diff(finite) >= -1e-12).all()
-
-
-class TestDtwEdge:
-    def test_single_point_series(self):
-        assert dtw_distance(np.asarray([2.0]), np.asarray([5.0])) == 3.0
-
-    def test_band_wider_than_series_equals_unconstrained(self, rng):
-        first, second = rng.normal(size=12), rng.normal(size=12)
-        assert dtw_distance(first, second, window=50) == pytest.approx(
-            dtw_distance(first, second, window=None)
-        )
 
 
 class TestStreamingEdge:

@@ -1,16 +1,18 @@
-"""Kernel-backend selection must not leak into serve-fleet reports.
+"""The kernel backend must not leak into serve-fleet reports.
 
 Two guarantees, asserted through the real ``serve-fleet --replicate``
 CLI path (which trains real classifiers and batches fallback consults
-through the dispatched prefix kernels):
+through the prefix kernels). The ``naive`` reference is substituted by
+patching ``repro.stats.backends.DEFAULT_BACKEND``; forked shard workers
+inherit the patched value.
 
-* **Determinism per backend**: a double run under the same
-  ``--kernel-backend`` produces byte-identical reports — backend
-  dispatch introduces no hidden state or ordering nondeterminism.
+* **Determinism per backend**: a double run on the same backend produces
+  byte-identical reports — the kernels introduce no hidden state or
+  ordering nondeterminism.
 * **No leakage across exact backends**: ``naive`` and ``numpy`` declare
   every serving-path op exact (bit-identical), so their reports must be
-  byte-identical to each other — swapping the numerical substrate is
-  invisible to serving behaviour, not just "close".
+  byte-identical to each other — the reference kernels are invisible to
+  serving behaviour, not just "close".
 """
 
 import io
@@ -18,21 +20,13 @@ import json
 
 import pytest
 
+import repro.stats.backends
 from repro.fleet.cli import main as fleet_main
-from repro.stats.backends import available_backends, set_default_backend
 
 from .test_cli import tiny_scenario_file
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend_selection():
-    """--kernel-backend pins the process default; undo it between runs."""
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
-
-
-def _run_fleet(scenario, tmp_path, tag, backend=None):
+def _run_fleet(scenario, tmp_path, tag):
     output = tmp_path / f"{tag}.json"
     out = io.StringIO()
     argv = [
@@ -42,10 +36,7 @@ def _run_fleet(scenario, tmp_path, tag, backend=None):
         "--replicate", "2",
         "--output", str(output),
     ]
-    if backend is not None:
-        argv += ["--kernel-backend", backend]
     assert fleet_main(argv, out) == 0
-    set_default_backend(None)
     payload = json.loads(output.read_text(encoding="utf-8"))
     report = payload["fleets"]["cli-tiny"]
     # Host/interpreter metadata legitimately varies between runs.
@@ -53,21 +44,24 @@ def _run_fleet(scenario, tmp_path, tag, backend=None):
     return json.dumps(report, sort_keys=True)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_replicated_double_run_is_byte_identical(backend, tmp_path):
+@pytest.mark.parametrize("backend", ("naive", "numpy"))
+def test_replicated_double_run_is_byte_identical(
+    backend, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(repro.stats.backends, "DEFAULT_BACKEND", backend)
+    assert repro.stats.backends.get_backend().name == backend
     scenario = tiny_scenario_file(tmp_path)
-    first = _run_fleet(scenario, tmp_path, f"{backend}-a", backend)
-    second = _run_fleet(scenario, tmp_path, f"{backend}-b", backend)
+    first = _run_fleet(scenario, tmp_path, f"{backend}-a")
+    second = _run_fleet(scenario, tmp_path, f"{backend}-b")
     assert first == second, f"double run diverged under {backend!r}"
     assert backend not in first, "backend name leaked into the report"
 
 
-def test_exact_backends_produce_identical_reports(tmp_path):
+def test_exact_backends_produce_identical_reports(tmp_path, monkeypatch):
     scenario = tiny_scenario_file(tmp_path)
-    default = _run_fleet(scenario, tmp_path, "default", backend=None)
-    naive = _run_fleet(scenario, tmp_path, "naive", backend="naive")
-    numpy_report = _run_fleet(scenario, tmp_path, "numpy", backend="numpy")
-    assert numpy_report == default, "--kernel-backend numpy changed the report"
+    numpy_report = _run_fleet(scenario, tmp_path, "numpy")
+    monkeypatch.setattr(repro.stats.backends, "DEFAULT_BACKEND", "naive")
+    naive = _run_fleet(scenario, tmp_path, "naive")
     assert naive == numpy_report, (
         "naive and numpy backends disagree on serving behaviour"
     )

@@ -1,34 +1,27 @@
-"""Differential conformance harness for kernel backends.
+"""Differential conformance of the ``numpy`` kernels against ``naive``.
 
-Every registered backend is tested op-by-op against the pure-python
-``naive`` reference over a shared corpus of generated cases —
+The vectorised ``numpy`` backend is tested op-by-op against the
+pure-python ``naive`` reference over a shared corpus of generated cases —
 univariate/multivariate, NaN tails, constant series, length-1 inputs,
-large/tiny magnitudes, adversarial ties — plus seeded random fuzz.
-Agreement is asserted at each backend's *declared*
+large magnitudes, adversarial ties — plus seeded random fuzz. Agreement
+is asserted at the op's *declared*
 :class:`~repro.stats.backends.OpTolerance`: exact ops must match
 bit-for-bit (NaN positions included), reordered-reduction ops within
 their documented scale-aware bounds.
 
-Registering a backend is all it takes to appear here: the parametrised
-matrix is built from :func:`available_backends` at collection time, so a
-new backend is conformance-tested by registration alone.
-
-``REPRO_CONFORMANCE_BACKEND`` restricts the matrix to one backend — how
-CI's ``kernel-conformance`` job shards the full corpus across its job
-matrix. The deep fuzz sweep is marked ``slow`` (skipped by the default
-``-m "not slow"`` run; CI re-enables it with ``-m conformance``).
+Each case also runs ``naive`` against itself, which pins that the oracle
+handles every corpus case and is deterministic. The deep fuzz sweep is
+marked ``slow`` (skipped by the default ``-m "not slow"`` run; CI's
+``kernel-conformance`` job re-enables it with ``-m conformance``).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.stats.backends import (
     OPS,
-    available_backends,
     get_backend,
     tolerance_for,
     assert_conformant,
@@ -38,22 +31,7 @@ from repro.stats.distance import PrefixDistanceCache
 pytestmark = pytest.mark.conformance
 
 REFERENCE = "naive"
-
-
-def _backends() -> tuple[str, ...]:
-    names = available_backends()
-    restrict = os.environ.get("REPRO_CONFORMANCE_BACKEND")
-    if restrict:
-        if restrict not in names:
-            raise RuntimeError(
-                f"REPRO_CONFORMANCE_BACKEND={restrict!r} is not a "
-                f"registered backend: {names}"
-            )
-        return (restrict,)
-    return names
-
-
-BACKENDS = _backends()
+BACKENDS = ("naive", "numpy")
 
 
 def _exact(backend: str, op: str) -> bool:
@@ -80,24 +58,6 @@ def _nan_tail(series: np.ndarray, k: int = 3) -> np.ndarray:
 # Shared corpus.
 
 
-def _series_pairs() -> list[tuple[str, np.ndarray, np.ndarray]]:
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=24)
-    b = rng.normal(size=30)
-    return [
-        ("random_unequal", a, b),
-        ("random_equal", rng.normal(size=20), rng.normal(size=20)),
-        ("constant", np.zeros(12), np.full(12, 3.0)),
-        ("length1", np.array([2.5]), np.array([-1.5])),
-        ("large_magnitude", a * 1e8, b * 1e8),
-        ("tiny_magnitude", a * 1e-8, b * 1e-8),
-        ("nan_tail", a, _nan_tail(b)),
-        # Every pointwise cost is 0 or 4 — adversarial ties throughout
-        # the DP, so any tie-breaking drift shows up.
-        ("ties", np.tile([1.0, -1.0], 8), np.tile([-1.0, 1.0], 8)),
-    ]
-
-
 def _matrices() -> list[tuple[str, np.ndarray]]:
     rng = np.random.default_rng(11)
     plain = rng.normal(size=(5, 26))
@@ -111,70 +71,6 @@ def _matrices() -> list[tuple[str, np.ndarray]]:
         ("large_magnitude", plain * 1e8),
         ("ties", tied),
     ]
-
-
-# ---------------------------------------------------------------------------
-# dtw / dtw_matrix
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "case", _series_pairs(), ids=[case[0] for case in _series_pairs()]
-)
-@pytest.mark.parametrize("window", [None, 8])
-def test_dtw_conformance(backend, case, window):
-    label, first, second = case
-    if window is not None:
-        window = max(window, abs(len(first) - len(second)))
-    reference = get_backend(REFERENCE).dtw(first, second, window)
-    actual = get_backend(backend).dtw(first, second, window)
-    _check(
-        backend, "dtw", actual, reference, (first, second),
-        f"{label}:window={window}",
-    )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("bound", ["loose", "tight"])
-def test_dtw_early_abandon_conformance(backend, bound):
-    """Abandon decisions must agree wherever the op is declared exact.
-
-    Tolerance-bounded backends (float32) may legitimately flip an
-    abandon decision when a partial path cost sits within rounding of
-    the bound, so only exact backends are held to the inf-vs-finite
-    agreement; the bounded ones are covered by the boundless cases.
-    """
-    if not _exact(backend, "dtw"):
-        pytest.skip("abandon decisions are only pinned for exact backends")
-    rng = np.random.default_rng(13)
-    first, second = rng.normal(size=22), rng.normal(size=25)
-    exact_sq = get_backend(REFERENCE).dtw(first, second, None)
-    max_sq = exact_sq * (4.0 if bound == "loose" else 0.25)
-    reference = get_backend(REFERENCE).dtw(first, second, None, max_sq)
-    actual = get_backend(backend).dtw(first, second, None, max_sq)
-    _check(backend, "dtw", actual, reference, (first, second), bound)
-    if bound == "tight":
-        assert np.isinf(reference)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "case", _matrices(), ids=[case[0] for case in _matrices()]
-)
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_dtw_matrix_conformance(backend, case, symmetric):
-    label, rows = case
-    rng = np.random.default_rng(17)
-    others = rows if symmetric else rng.normal(size=(3, rows.shape[1] + 4))
-    window = None if symmetric else abs(rows.shape[1] - others.shape[1]) + 5
-    reference = get_backend(REFERENCE).dtw_matrix(
-        rows, others, window, symmetric
-    )
-    actual = get_backend(backend).dtw_matrix(rows, others, window, symmetric)
-    _check(
-        backend, "dtw_matrix", actual, reference, (rows, others),
-        f"{label}:symmetric={symmetric}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +222,6 @@ def test_kmeans_update_conformance(backend, case):
 # Seeded random fuzz.
 
 
-def _fuzz_series(rng, max_length: int) -> np.ndarray:
-    length = int(rng.integers(1, max_length + 1))
-    series = rng.normal(size=length)
-    series *= 10.0 ** float(rng.integers(-3, 4))
-    if length > 2 and rng.random() < 0.25:
-        series[-int(rng.integers(1, length // 2 + 1)):] = np.nan
-    if rng.random() < 0.15:
-        series[:] = series[0]  # constant
-    return series
-
-
-def _fuzz_dtw_once(backend: str, rng) -> None:
-    first = _fuzz_series(rng, 28)
-    second = _fuzz_series(rng, 28)
-    window = None
-    if rng.random() < 0.5:
-        window = int(rng.integers(0, 10)) + abs(len(first) - len(second))
-    reference = get_backend(REFERENCE).dtw(first, second, window)
-    actual = get_backend(backend).dtw(first, second, window)
-    _check(backend, "dtw", actual, reference, (first, second), "fuzz")
-
-
 def _fuzz_windows_once(backend: str, rng) -> None:
     n, length = int(rng.integers(1, 6)), int(rng.integers(2, 40))
     matrix = rng.normal(size=(n, length)) * 10.0 ** float(rng.integers(-2, 3))
@@ -401,7 +275,6 @@ def _fuzz_kmeans_once(backend: str, rng) -> None:
 
 
 _FUZZERS = (
-    _fuzz_dtw_once,
     _fuzz_windows_once,
     _fuzz_prefix_once,
     _fuzz_kmeans_once,
@@ -427,7 +300,7 @@ def test_fuzz_conformance_deep(backend, fuzzer):
 
 
 # ---------------------------------------------------------------------------
-# Contract checks that hold for any registered backend.
+# Contract checks that hold for both backends.
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

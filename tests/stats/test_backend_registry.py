@@ -1,138 +1,33 @@
-"""Backend registry: registration, selection priority, scoped overrides."""
+"""Backend lookup: the fixed ``{naive, numpy}`` map and its tolerances."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.stats.backends import (
     DEFAULT_BACKEND,
-    ENV_VAR,
-    active_backend_name,
-    available_backends,
+    OPS,
     get_backend,
-    register_backend,
-    set_default_backend,
     tolerance_for,
-    unregister_backend,
-    use_backend,
 )
-from repro.stats.backends.naive import NaiveBackend
-from repro.stats.dtw import dtw_distance
-
-
-@pytest.fixture(autouse=True)
-def _reset_selection(monkeypatch):
-    """Each test starts from the built-in default selection state."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
-
-
-class _ProbeBackend(NaiveBackend):
-    """A registerable test double (inherits the full naive op set)."""
-
-    name = "probe"
-
-
-def test_builtins_are_registered():
-    assert available_backends() == ("naive", "numpy", "numpy32")
 
 
 def test_default_resolution_is_numpy():
-    assert active_backend_name() == DEFAULT_BACKEND == "numpy"
+    assert get_backend().name == DEFAULT_BACKEND == "numpy"
 
 
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "naive")
-    assert active_backend_name() == "naive"
+def test_unknown_backend_name_raises_with_the_known_names():
+    with pytest.raises(ConfigurationError, match="fortran77") as error:
+        get_backend("fortran77")
+    assert "naive, numpy" in str(error.value)
 
 
-def test_unknown_env_backend_raises(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "fortran77")
-    with pytest.raises(ConfigurationError, match="fortran77"):
-        get_backend()
-
-
-def test_set_default_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "naive")
-    set_default_backend("numpy32")
-    assert active_backend_name() == "numpy32"
-    set_default_backend(None)
-    assert active_backend_name() == "naive"
-
-
-def test_set_default_fails_fast_on_unknown():
-    with pytest.raises(ConfigurationError, match="registered"):
-        set_default_backend("no-such-backend")
-    assert active_backend_name() == "numpy"
-
-
-def test_use_backend_nests_and_beats_default():
-    set_default_backend("numpy32")
-    with use_backend("naive") as outer:
-        assert outer.name == "naive"
-        assert active_backend_name() == "naive"
-        with use_backend("numpy"):
-            assert active_backend_name() == "numpy"
-        assert active_backend_name() == "naive"
-    assert active_backend_name() == "numpy32"
-
-
-def test_explicit_argument_beats_everything():
-    with use_backend("numpy32"):
-        assert get_backend("naive").name == "naive"
-
-
-def test_backend_instances_resolve_to_themselves():
-    instance = get_backend("numpy")
-    assert get_backend(instance) is instance
-
-
-def test_call_sites_accept_backend_names():
-    rng = np.random.default_rng(5)
-    a, b = rng.normal(size=10), rng.normal(size=12)
-    assert dtw_distance(a, b, backend="naive") == dtw_distance(
-        a, b, backend="numpy"
-    )
-
-
-def test_register_requires_kernel_backend_instance():
-    with pytest.raises(ConfigurationError, match="KernelBackend"):
-        register_backend("numpy")  # type: ignore[arg-type]
-
-
-def test_register_rejects_duplicate_names():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        register_backend(NaiveBackend())
-
-
-def test_register_rejects_incomplete_tolerances():
-    class Partial(NaiveBackend):
-        name = "partial"
-        tolerances = {"dtw": NaiveBackend.tolerances["dtw"]}
-
-    with pytest.raises(ValueError, match="declares no tolerance"):
-        register_backend(Partial())
-
-
-def test_registered_backend_is_selectable_and_removable():
-    register_backend(_ProbeBackend())
-    try:
-        assert "probe" in available_backends()
-        with use_backend("probe") as probe:
-            assert probe.name == "probe"
-        assert tolerance_for("probe", "dtw").exact
-    finally:
-        unregister_backend("probe")
-    assert "probe" not in available_backends()
-
-
-def test_builtin_backends_cannot_be_unregistered():
-    with pytest.raises(ConfigurationError, match="built-in"):
-        unregister_backend("numpy")
+def test_builtins_declare_a_tolerance_for_every_op():
+    for name in ("naive", "numpy"):
+        backend = get_backend(name)
+        assert backend.name == name
+        assert set(backend.tolerances) == set(OPS), name
 
 
 def test_tolerance_for_rejects_unknown_op():

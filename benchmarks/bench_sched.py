@@ -27,7 +27,8 @@ same process on the same machine, so the ratio survives CI runner
 generations): it fails when the measured speedup falls below
 ``max(1.3, baseline / 1.5)`` — 1.3x is the absolute floor the skewed
 grid must always clear at 4 workers — or when either shard run stopped
-reproducing the serial report.
+reproducing the serial report. It fails closed: a missing or unreadable
+baseline, or one without the LPT row, is a failure, not a pass.
 """
 
 from __future__ import annotations
@@ -273,26 +274,36 @@ _GATE_FACTOR = 1.5
 
 
 def _check(current: dict, baseline_path: Path) -> int:
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    # Fail closed: an unreadable baseline, or one without the LPT row,
+    # gates nothing and must not pass on the absolute floor alone.
     failures = []
+    try:
+        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        baseline = {}
+        failures.append(
+            f"{baseline_path}: cannot read the committed baseline ({error}); "
+            "regenerate it with `python benchmarks/bench_sched.py`"
+        )
     lpt_op = f"sched_grid_lpt_workers_{_WORKERS}"
-    reference = baseline["ops"].get(lpt_op, {}).get("speedup")
+    reference = baseline.get("ops", {}).get(lpt_op, {}).get("speedup")
     measured = current["ops"].get(lpt_op, {}).get("speedup")
+    if reference is None and not failures:
+        failures.append(
+            f"{lpt_op}: missing from the committed baseline "
+            f"{baseline_path}; regenerate it with "
+            "`python benchmarks/bench_sched.py`"
+        )
     if measured is None:
         failures.append(f"{lpt_op}: missing from this run")
-    else:
-        floor = _SPEEDUP_FLOOR
-        if reference is not None:
-            floor = max(floor, reference / _GATE_FACTOR)
+    elif reference is not None:
+        floor = max(_SPEEDUP_FLOOR, reference / _GATE_FACTOR)
         if measured < floor:
             failures.append(
                 f"{lpt_op}: LPT speedup {measured:.2f}x fell below "
                 f"{floor:.2f}x (baseline "
                 f"{reference:.2f}x / {_GATE_FACTOR:g}, absolute floor "
                 f"{_SPEEDUP_FLOOR:g}x)"
-                if reference is not None
-                else f"{lpt_op}: LPT speedup {measured:.2f}x fell below "
-                f"the {_SPEEDUP_FLOOR:g}x floor"
             )
     shard = current.get("shard", {})
     for flag in ("split_report_equal", "steal_report_equal"):

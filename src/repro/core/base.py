@@ -5,7 +5,8 @@ to create a Python interface that implements the abstract class
 EarlyClassifier, and provide the algorithm functionality for train and
 predict methods."* :class:`EarlyClassifier` is that class. Full time-series
 classifiers (used inside STRUT, ECEC, TEASER) implement the smaller
-:class:`FullTSClassifier` interface.
+:class:`FullTSClassifier` interface. Streaming sessions consult a trained
+classifier through the :class:`ClassifierStream` it opens per stream.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..data.dataset import TimeSeriesDataset
 from ..exceptions import DataError, NotFittedError
 from .prediction import EarlyPrediction
 
-__all__ = ["EarlyClassifier", "FullTSClassifier"]
+__all__ = ["ClassifierStream", "EarlyClassifier", "FullTSClassifier"]
 
 
 class FullTSClassifier(ABC):
@@ -155,6 +156,15 @@ class EarlyClassifier(ABC):
         )
         return self.predict(prefix)[0]
 
+    def open_stream(self) -> "ClassifierStream":
+        """A fresh per-stream consult state (see :class:`ClassifierStream`).
+
+        The default stream keeps no state and replays :meth:`predict_one`
+        on every consult. Algorithms whose consults share work across a
+        growing prefix override this with a stream that keeps it.
+        """
+        return ClassifierStream(self)
+
     # ------------------------------------------------------------------
     @property
     def is_trained(self) -> bool:
@@ -179,3 +189,41 @@ class EarlyClassifier(ABC):
         if self._trained_variables is None:
             raise NotFittedError(f"{type(self).__name__} used before train")
         return self._trained_variables
+
+
+class ClassifierStream:
+    """One stream's consults of a trained early classifier.
+
+    :meth:`consult` takes the stream's whole ``(n_variables, t)`` observed
+    prefix and answers as :meth:`EarlyClassifier.predict_one` would. By
+    contract each call's prefix extends the previous call's (the streaming
+    session's append-only buffer), so a stream may keep work done for the
+    points it has already seen; it never checks that contract. The state
+    belongs to whoever opened the stream, never to the shared model.
+    """
+
+    def __init__(self, classifier: EarlyClassifier) -> None:
+        if not classifier.is_trained:
+            raise NotFittedError(
+                f"{type(classifier).__name__} used before train"
+            )
+        self.classifier = classifier
+
+    def consult(self, prefix: np.ndarray) -> EarlyPrediction:
+        """Early-classify the observed prefix."""
+        return self.classifier.predict_one(prefix)
+
+    def _univariate(self, prefix: np.ndarray) -> np.ndarray:
+        """The prefix as a ``(1, t)`` row, validated like ``predict_one``."""
+        series = np.atleast_2d(np.asarray(prefix, dtype=float))
+        limit = self.classifier.trained_length
+        if series.ndim != 2 or series.shape[0] != 1:
+            raise DataError(
+                f"expected one univariate (1, t) prefix, got shape "
+                f"{series.shape}"
+            )
+        if not 1 <= series.shape[1] <= limit:
+            raise DataError(
+                f"prefix length {series.shape[1]} outside [1, {limit}]"
+            )
+        return series

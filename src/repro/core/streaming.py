@@ -12,6 +12,11 @@ checked directly (the Figure 13 criterion).
 The session never un-commits: once a decision is emitted the remaining
 pushes are absorbed without further classifier calls.
 
+Each session consults its classifier through the stream it opens at
+construction (:meth:`~repro.core.base.EarlyClassifier.open_stream`), so
+any work an algorithm keeps across a growing prefix belongs to the
+session, and many sessions can share one trained model.
+
 Production streams are not clean: points arrive malformed, consultations
 overrun the sampling period, classifiers throw. The resilient wrapper
 that handles all of that — input guards, deadlines, fallback degradation,
@@ -195,6 +200,8 @@ class StreamingSession:
         self.classifier = classifier
         self.series_length = series_length
         self.check_every = check_every
+        # The session owns its stream's consult state; the model is shared.
+        self._stream = classifier.open_stream()
         self._buffer: list[np.ndarray] = []
         self._decision: StreamingDecision | None = None
         self._ended = False
@@ -218,13 +225,14 @@ class StreamingSession:
 
     # ------------------------------------------------------------------
     def _predict_prefix(self, values: np.ndarray) -> EarlyPrediction:
-        """One classifier consultation on the ``(V, t)`` observed prefix.
+        """One consultation of the session's stream on the ``(V, t)``
+        observed prefix (the whole buffer, which only ever grows).
 
         The resilient serving subclass overrides this hook to add fault
         injection, deadline enforcement, circuit breaking, and fallback
         degradation around the model call.
         """
-        return self.classifier.predict_one(values)
+        return self._stream.consult(values)
 
     def _consult(self) -> None:
         prediction = self._predict_prefix(np.stack(self._buffer, axis=-1))

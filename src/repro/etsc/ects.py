@@ -18,7 +18,11 @@ pure clusters containing them.
 
 At test time, prefixes stream in; the incoming prefix is matched to its
 nearest training series, and a prediction fires as soon as the observed
-length reaches that neighbour's MPL (forced at full length).
+length reaches that neighbour's MPL (forced at full length). Each stream
+keeps its own prefix distances (:meth:`ECTS.open_stream`), so a consult
+only pays for the points observed since the last one; batch prediction
+feeds every test series through a fresh stream, so the rule lives in one
+place.
 
 Pairwise prefix distances are maintained incrementally — the squared
 distance at prefix ``l`` is the prefix-``l-1`` distance plus the
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import EarlyClassifier
+from ..core.base import ClassifierStream, EarlyClassifier
 from ..core.prediction import EarlyPrediction
 from ..data.dataset import TimeSeriesDataset
 from ..exceptions import ConfigurationError
@@ -74,10 +78,6 @@ class ECTS(EarlyClassifier):
         self._train_values: np.ndarray | None = None  # (N, L)
         self._train_labels: np.ndarray | None = None
         self._mpl: np.ndarray | None = None  # per training series
-        # Streaming-consult state: when predict_one is called with growing
-        # prefixes of one stream, prefix distances are advanced
-        # incrementally instead of recomputed from scratch per consult.
-        self._stream_state: dict | None = None
 
     # ------------------------------------------------------------------
     # Training
@@ -196,104 +196,53 @@ class ECTS(EarlyClassifier):
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _scan_new_points(
-        self, cache: PrefixDistanceCache, new_points: np.ndarray
-    ) -> tuple[int, int] | None:
-        """Advance the prefix cache, firing the MPL rule on each new point.
+    def _predict(self, dataset: TimeSeriesDataset) -> list[EarlyPrediction]:
+        return [
+            self.open_stream().consult(series) for series in dataset.values
+        ]
+
+    def open_stream(self) -> "_ECTSStream":
+        return _ECTSStream(self)
+
+
+class _ECTSStream(ClassifierStream):
+    """Incremental prefix distances of one stream to the training series.
+
+    Each consult advances the stream's :class:`PrefixDistanceCache` over
+    the newly observed points only (``O(N)`` each) and fires the MPL rule
+    at the first qualifying prefix; until it fires, the answer is the
+    nearest neighbour's label forced at the observed length.
+    """
+
+    def __init__(self, classifier: ECTS) -> None:
+        super().__init__(classifier)
+        self._cache = PrefixDistanceCache(classifier._train_values)
+        self._fired: tuple[int, int] | None = None
+
+    def consult(self, prefix: np.ndarray) -> EarlyPrediction:
+        row = self._univariate(prefix)[0]
+        t = row.size
+        if self._fired is None:
+            self._fired = self._scan(row[self._cache.length : t])
+        if self._fired is not None:
+            label, prefix_length = self._fired
+        else:
+            neighbor = int(self._cache.squared_distances[0].argmin())
+            label = int(self.classifier._train_labels[neighbor])
+            prefix_length = t
+        return EarlyPrediction(
+            label=label, prefix_length=prefix_length, series_length=t
+        )
+
+    def _scan(self, new_points: np.ndarray) -> tuple[int, int] | None:
+        """Advance over ``new_points``, firing the MPL rule on each.
 
         Returns ``(label, prefix_length)`` at the first qualifying prefix,
         or ``None`` if the rule never fires over ``new_points``.
         """
-        assert self._train_labels is not None and self._mpl is not None
+        model, cache = self.classifier, self._cache
         for value in new_points:
-            distances = cache.advance(value)
-            neighbor = int(distances.argmin())
-            if cache.length >= self._mpl[neighbor]:
-                return int(self._train_labels[neighbor]), cache.length
+            neighbor = int(cache.advance(value).argmin())
+            if cache.length >= model._mpl[neighbor]:
+                return int(model._train_labels[neighbor]), cache.length
         return None
-
-    def _forced_label(self, cache: PrefixDistanceCache) -> int:
-        """Nearest neighbour's label at the current prefix length."""
-        assert self._train_labels is not None
-        neighbor = int(cache.squared_distances[0].argmin())
-        return int(self._train_labels[neighbor])
-
-    def _predict(self, dataset: TimeSeriesDataset) -> list[EarlyPrediction]:
-        assert self._train_values is not None
-        assert self._train_labels is not None and self._mpl is not None
-        test_matrix = dataset.values[:, 0, :]
-        predictions: list[EarlyPrediction] = []
-        train = self._train_values
-        for row in test_matrix:
-            length = len(row)
-            cache = PrefixDistanceCache(train)
-            fired = self._scan_new_points(cache, row)
-            if fired is not None:
-                label, prefix_length = fired
-            else:
-                label, prefix_length = self._forced_label(cache), length
-            predictions.append(
-                EarlyPrediction(
-                    label=label,
-                    prefix_length=prefix_length,
-                    series_length=length,
-                )
-            )
-        return predictions
-
-    def predict_one(self, series: np.ndarray) -> EarlyPrediction:
-        """Streaming consult with incremental prefix-distance caching.
-
-        Consecutive calls with growing prefixes of the *same* stream only
-        pay for the newly observed points (``O(N)`` each) instead of
-        re-accumulating the whole prefix. Any input that is not a
-        continuation — a new stream, a shorter prefix, edited history —
-        resets the cache and replays from scratch, so results are
-        identical to the uncached path in every case.
-        """
-        series = np.atleast_2d(np.asarray(series, dtype=float))
-        if (
-            series.ndim != 2
-            or series.shape[0] != 1
-            or series.shape[1] < 1
-            or not self.is_trained
-            or series.shape[1] > self.trained_length
-        ):
-            # Not streamable input: the validating base path raises the
-            # same errors it always did.
-            self._stream_state = None
-            return super().predict_one(series)
-        assert self._train_values is not None
-        row = series[0]
-        t = row.size
-        state = self._stream_state
-        consumed = 0 if state is None else state["length"]
-        if (
-            state is None
-            or consumed > t
-            or not np.array_equal(row[:consumed], state["seen"])
-        ):
-            state = {
-                "cache": PrefixDistanceCache(self._train_values),
-                "length": 0,
-                "seen": np.empty(0),
-                "fired": None,
-            }
-            self._stream_state = state
-            consumed = 0
-        if state["fired"] is None:
-            state["fired"] = self._scan_new_points(
-                state["cache"], row[consumed:t]
-            )
-        state["length"] = t
-        state["seen"] = row.copy()
-        if state["fired"] is not None:
-            label, prefix_length = state["fired"]
-        else:
-            cache = state["cache"]
-            if cache.length < t:  # rule fired earlier? no — keep current
-                cache.advance_chunk(row[cache.length : t])
-            label, prefix_length = self._forced_label(cache), t
-        return EarlyPrediction(
-            label=label, prefix_length=prefix_length, series_length=t
-        )

@@ -16,6 +16,12 @@ If no acceptable prediction appears before the last prefix, the final
 classifier's label is emitted without any filtering — the paper's forced
 decision at full length.
 
+Prediction walks the ladder one stream at a time
+(:meth:`TEASER.open_stream`): each rung is evaluated once, when the
+v-consistency streak first reaches it, and a serving stream keeps its
+rungs between consults. Batch prediction feeds every test series through
+a fresh stream, so the serving and batch paths share one rule.
+
 Following Section 6.1, z-normalisation is disabled by default
 (``normalize=False``) because full-series statistics are not available
 online; pass ``True`` for the original behaviour (the ablation bench
@@ -24,9 +30,11 @@ compares the two).
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
-from ..core.base import EarlyClassifier
+from ..core.base import ClassifierStream, EarlyClassifier
 from ..core.prediction import EarlyPrediction
 from ..data.dataset import TimeSeriesDataset
 from ..exceptions import ConfigurationError
@@ -88,10 +96,6 @@ class TEASER(EarlyClassifier):
         self._classifiers: list[WEASEL] | None = None
         self._filters: list[OneClassSVM | None] | None = None
         self.v_: int | None = None
-        # Streaming-consult state: per-rung tier outputs are cached as
-        # rungs become reachable, so growing prefixes of one stream only
-        # pay for newly reachable rungs.
-        self._stream_state: dict | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -174,186 +178,120 @@ class TEASER(EarlyClassifier):
         final_labels = predictions[-1].copy()
         final_rows = np.full(n, n_rows - 1)
         for instance in range(n):
-            streak_label = None
-            streak = 0
+            streak = _Streak(v)
             for row in range(n_rows):
-                if acceptance[row, instance]:
-                    label = predictions[row, instance]
-                    if label == streak_label:
-                        streak += 1
-                    else:
-                        streak_label = label
-                        streak = 1
-                    if streak >= v:
-                        final_labels[instance] = label
-                        final_rows[instance] = row
-                        break
-                else:
-                    streak_label = None
-                    streak = 0
+                label = predictions[row, instance]
+                if streak.fold(label, acceptance[row, instance]):
+                    final_labels[instance] = label
+                    final_rows[instance] = row
+                    break
         return final_labels, final_rows
 
     # ------------------------------------------------------------------
     def _predict(self, dataset: TimeSeriesDataset) -> list[EarlyPrediction]:
-        assert self._ladder is not None and self._classifiers is not None
-        assert self._filters is not None and self.v_ is not None
-        reachable = [
-            row
-            for row, prefix in enumerate(self._ladder)
-            if prefix <= dataset.length
-        ] or [0]
-        predictions: list[EarlyPrediction] = []
-        for i in range(dataset.n_instances):
-            instance = dataset.select([i])
-            streak_label: int | None = None
-            streak = 0
-            decided: EarlyPrediction | None = None
-            for position, row in enumerate(reachable):
-                prefix = min(self._ladder[row], dataset.length)
-                truncated = instance.truncate(prefix)
-                probabilities = self._classifiers[row].predict_proba(truncated)
-                label = int(
-                    self._classifiers[row].classes_[
-                        probabilities.argmax(axis=1)[0]
-                    ]
-                )
-                is_last = position == len(reachable) - 1
-                if is_last:
-                    # Forced decision: last prefix bypasses both tiers.
-                    decided = EarlyPrediction(
-                        label=label,
-                        prefix_length=prefix,
-                        series_length=dataset.length,
-                        confidence=float(probabilities.max()),
-                    )
-                    break
-                oc_filter = self._filters[row]
-                features = self._decision_features(probabilities)
-                accepted = (
-                    oc_filter is None
-                    or oc_filter.predict(features)[0] == 1
-                )
-                if accepted:
-                    if label == streak_label:
-                        streak += 1
-                    else:
-                        streak_label = label
-                        streak = 1
-                    if streak >= self.v_:
-                        decided = EarlyPrediction(
-                            label=label,
-                            prefix_length=prefix,
-                            series_length=dataset.length,
-                            confidence=float(probabilities.max()),
-                        )
-                        break
-                else:
-                    streak_label = None
-                    streak = 0
-            assert decided is not None
-            predictions.append(decided)
-        return predictions
+        return [
+            self.open_stream().consult(series) for series in dataset.values
+        ]
 
-    def _rung_outputs(
-        self, instance: TimeSeriesDataset, row: int
-    ) -> tuple[int, float, bool]:
-        """(label, confidence, tier-two acceptance) of one ladder rung."""
-        assert self._ladder is not None and self._classifiers is not None
-        assert self._filters is not None
-        truncated = instance.truncate(self._ladder[row])
-        probabilities = self._classifiers[row].predict_proba(truncated)
-        label = int(
-            self._classifiers[row].classes_[probabilities.argmax(axis=1)[0]]
-        )
-        confidence = float(probabilities.max())
-        oc_filter = self._filters[row]
-        accepted = (
-            oc_filter is None
-            or oc_filter.predict(self._decision_features(probabilities))[0]
-            == 1
-        )
-        return label, confidence, accepted
+    def open_stream(self) -> "_TEASERStream":
+        return _TEASERStream(self)
 
-    def predict_one(self, series: np.ndarray) -> EarlyPrediction:
-        """Streaming consult with per-rung output caching.
 
-        A rung's tier outputs depend only on ``truncate(ladder[row])`` of
-        the stream, which never changes once the rung is reachable — so
-        consecutive consults over growing prefixes of the same stream
-        evaluate each WEASEL/OC-SVM pair exactly once. The v-consistency
-        streak replays incrementally over the cached rungs; the forced
-        decision at the currently-last reachable rung is recomputed per
-        consult from the cache. Non-continuation inputs reset the cache,
-        so results always match the uncached path.
-        """
-        series = np.atleast_2d(np.asarray(series, dtype=float))
-        if (
-            series.ndim != 2
-            or series.shape[0] != 1
-            or series.shape[1] < 1
-            or not self.is_trained
-            or series.shape[1] > self.trained_length
-        ):
-            self._stream_state = None
-            return super().predict_one(series)
-        assert self._ladder is not None and self.v_ is not None
-        row_values = series[0]
-        t = row_values.size
-        n_reachable = sum(1 for prefix in self._ladder if prefix <= t)
+class _Streak:
+    """TEASER's v-consistency rule, folded one ladder rung at a time.
+
+    The one place the rule lives: training's ``v`` search replays it over
+    the training ladder, and every prediction stream folds it over the
+    rungs its prefix reaches.
+    """
+
+    def __init__(self, v: int) -> None:
+        self.v = v
+        self.label = None
+        self.count = 0
+
+    def fold(self, label, accepted: bool) -> bool:
+        """Fold one rung; ``True`` once ``v`` accepted rungs agree in a row."""
+        if not accepted:
+            self.label = None
+            self.count = 0
+            return False
+        if label == self.label:
+            self.count += 1
+        else:
+            self.label = label
+            self.count = 1
+        return self.count >= self.v
+
+
+class _TEASERStream(ClassifierStream):
+    """One stream's walk up the TEASER ladder.
+
+    A rung's tier outputs depend only on the stream's first
+    ``ladder[row]`` points, which never change once observed, so each
+    rung's WEASEL probabilities are computed once, when the streak fold
+    first reaches the rung. The last reachable rung is the forced
+    decision: it needs only its probabilities, and its OC-SVM filter runs
+    only if a longer prefix later folds it into the streak.
+    """
+
+    def __init__(self, classifier: TEASER) -> None:
+        super().__init__(classifier)
+        self._probabilities: list[np.ndarray] = []  # per computed rung
+        self._streak = _Streak(classifier.v_)
+        self._folded = 0  # rungs folded into the streak so far
+        self._fired: tuple[np.ndarray, int] | None = None
+
+    def consult(self, prefix: np.ndarray) -> EarlyPrediction:
+        series = self._univariate(prefix)
+        t = series.shape[1]
+        model = self.classifier
+        n_reachable = bisect.bisect_right(model._ladder, t)
         if n_reachable == 0:
             # Shorter than the first rung: the forced rung sees the whole
-            # (still growing) prefix, so there is nothing stable to cache.
-            self._stream_state = None
-            return super().predict_one(series)
-        state = self._stream_state
-        consumed = 0 if state is None else state["length"]
-        if (
-            state is None
-            or consumed > t
-            or not np.array_equal(row_values[:consumed], state["seen"])
-        ):
-            state = {
-                "length": 0,
-                "seen": np.empty(0),
-                "rungs": [],  # (label, confidence, accepted) per rung
-                "streak_label": None,
-                "streak": 0,
-                "folded": 0,  # rungs already folded into the streak
-                "fired": None,  # (label, confidence, row) once v is met
-            }
-            self._stream_state = state
+            # (still growing) prefix, so there is nothing stable to keep.
+            return self._answer(self._rung_probabilities(series, 0), 0, t, t)
+        while self._fired is None and self._folded < n_reachable - 1:
+            row = self._folded
+            probabilities = self._rung(series, row)
+            oc_filter = model._filters[row]
+            features = model._decision_features(probabilities)
+            accepted = oc_filter is None or oc_filter.predict(features)[0] == 1
+            if self._streak.fold(self._label(probabilities, row), accepted):
+                self._fired = (probabilities, row)
+            self._folded += 1
+        if self._fired is not None:
+            probabilities, row = self._fired
+        else:
+            row = n_reachable - 1
+            probabilities = self._rung(series, row)
+        return self._answer(probabilities, row, model._ladder[row], t)
+
+    def _rung(self, series: np.ndarray, row: int) -> np.ndarray:
+        """Rung ``row``'s probabilities, computed on first use."""
+        if row == len(self._probabilities):
+            prefix = self.classifier._ladder[row]
+            self._probabilities.append(
+                self._rung_probabilities(series[:, :prefix], row)
+            )
+        return self._probabilities[row]
+
+    def _rung_probabilities(self, series: np.ndarray, row: int) -> np.ndarray:
         instance = TimeSeriesDataset(
             series[np.newaxis, :, :], np.zeros(1, dtype=int)
         )
-        rungs: list[tuple[int, float, bool]] = state["rungs"]
-        for row in range(len(rungs), n_reachable):
-            rungs.append(self._rung_outputs(instance, row))
-        state["length"] = t
-        state["seen"] = row_values.copy()
-        # Fold newly non-last rungs into the streak (the last reachable
-        # rung is the forced decision, never part of the streak).
-        while state["fired"] is None and state["folded"] < n_reachable - 1:
-            label, confidence, accepted = rungs[state["folded"]]
-            if accepted:
-                if label == state["streak_label"]:
-                    state["streak"] += 1
-                else:
-                    state["streak_label"] = label
-                    state["streak"] = 1
-                if state["streak"] >= self.v_:
-                    state["fired"] = (label, confidence, state["folded"])
-            else:
-                state["streak_label"] = None
-                state["streak"] = 0
-            state["folded"] += 1
-        if state["fired"] is not None:
-            label, confidence, row = state["fired"]
-        else:
-            label, confidence, _ = rungs[n_reachable - 1]
-            row = n_reachable - 1
+        return self.classifier._classifiers[row].predict_proba(instance)
+
+    def _label(self, probabilities: np.ndarray, row: int) -> int:
+        classes = self.classifier._classifiers[row].classes_
+        return int(classes[probabilities.argmax(axis=1)[0]])
+
+    def _answer(
+        self, probabilities: np.ndarray, row: int, prefix_length: int, t: int
+    ) -> EarlyPrediction:
         return EarlyPrediction(
-            label=label,
-            prefix_length=min(self._ladder[row], t),
+            label=self._label(probabilities, row),
+            prefix_length=prefix_length,
             series_length=t,
-            confidence=confidence,
+            confidence=float(probabilities.max()),
         )

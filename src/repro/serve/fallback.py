@@ -18,10 +18,15 @@ and a ``prefix_length`` equal to the observed length — they have no
 earliness trigger of their own, so a streaming session only ever commits
 them as the forced final decision.
 
-The prefix-1-NN consult path runs on
-:class:`~repro.stats.distance.PrefixDistanceCache`, whose ``prefix_step``
-kernel op the conformance policy declares exact: the ``numpy`` kernels
-and the ``naive`` reference produce bit-identical fallback decisions.
+A serving session consults its fallback through the
+:class:`FallbackStream` it opens (:meth:`FallbackPredictor.open_stream`),
+so per-stream work lives with the session and a predictor holds no
+stream state: the prefix-1-NN stream keeps its own
+:class:`~repro.stats.distance.PrefixDistanceCache` and pays ``O(reference)``
+per newly observed point. ``predict_prefix`` and ``predict_prefix_batch``
+are stateless. The cache's ``prefix_step`` kernel op is declared exact by
+the conformance policy: the ``numpy`` kernels and the ``naive`` reference
+produce bit-identical fallback decisions.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from ..stats.distance import PrefixDistanceCache
 
 __all__ = [
     "FallbackPredictor",
+    "FallbackStream",
     "MajorityClassFallback",
     "PrefixNearestNeighborFallback",
     "make_fallback",
@@ -54,9 +60,13 @@ class FallbackPredictor(ABC):
     def _fit(self, dataset: TimeSeriesDataset) -> None:
         """Predictor-specific fitting logic."""
 
-    @abstractmethod
     def _predict_label(self, prefix: np.ndarray) -> tuple[int, float | None]:
-        """``(label, confidence)`` for one observed ``(V, t)`` prefix."""
+        """``(label, confidence)`` for one observed ``(V, t)`` prefix.
+
+        Stateless predictors implement this; a predictor with per-stream
+        work overrides :meth:`open_stream` instead.
+        """
+        raise NotImplementedError
 
     def fit(self, dataset: TimeSeriesDataset) -> "FallbackPredictor":
         """Fit the fallback on the primary model's training dataset."""
@@ -68,29 +78,15 @@ class FallbackPredictor(ABC):
     def is_fitted(self) -> bool:
         return self._fitted
 
+    def open_stream(self) -> "FallbackStream":
+        """A fresh per-stream consult state (see :class:`FallbackStream`)."""
+        return FallbackStream(self)
+
     def predict_prefix(
         self, prefix: np.ndarray, series_length: int
     ) -> EarlyPrediction:
         """A degraded prediction for the ``(V, t)`` observed prefix."""
-        if not self._fitted:
-            raise NotFittedError(
-                f"{type(self).__name__} used before fit"
-            )
-        prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
-        if prefix.ndim != 2 or prefix.shape[1] < 1:
-            raise DataError(
-                f"fallback prefix must be (n_variables, t>=1), "
-                f"got shape {prefix.shape}"
-            )
-        label, confidence = self._predict_label(prefix)
-        return EarlyPrediction(
-            label=int(label),
-            prefix_length=min(prefix.shape[1], series_length),
-            series_length=series_length,
-            confidence=confidence,
-            degraded=True,
-            source=SOURCE_FALLBACK,
-        )
+        return self.open_stream().consult(prefix, series_length)
 
     def predict_prefix_batch(
         self, prefixes: "np.ndarray | list[np.ndarray]", series_length: int
@@ -119,6 +115,45 @@ class FallbackPredictor(ABC):
             self.predict_prefix(stacked[i], series_length)
             for i in range(stacked.shape[0])
         ]
+
+
+class FallbackStream:
+    """One session's consults of a fallback predictor.
+
+    :meth:`consult` takes the session's whole ``(V, t)`` observed prefix,
+    which by contract extends the previous call's. The default stream
+    keeps no state and asks the predictor's ``_predict_label`` afresh.
+    """
+
+    def __init__(self, predictor: FallbackPredictor) -> None:
+        if not predictor.is_fitted:
+            raise NotFittedError(
+                f"{type(predictor).__name__} used before fit"
+            )
+        self.predictor = predictor
+
+    def consult(
+        self, prefix: np.ndarray, series_length: int
+    ) -> EarlyPrediction:
+        """A degraded prediction for the observed prefix."""
+        prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
+        if prefix.ndim != 2 or prefix.shape[1] < 1:
+            raise DataError(
+                f"fallback prefix must be (n_variables, t>=1), "
+                f"got shape {prefix.shape}"
+            )
+        label, confidence = self._predict_label(prefix)
+        return EarlyPrediction(
+            label=int(label),
+            prefix_length=min(prefix.shape[1], series_length),
+            series_length=series_length,
+            confidence=confidence,
+            degraded=True,
+            source=SOURCE_FALLBACK,
+        )
+
+    def _predict_label(self, prefix: np.ndarray) -> tuple[int, float | None]:
+        return self.predictor._predict_label(prefix)
 
 
 class MajorityClassFallback(FallbackPredictor):
@@ -176,12 +211,6 @@ class PrefixNearestNeighborFallback(FallbackPredictor):
         self.n_votes = n_votes
         self._values: np.ndarray | None = None
         self._labels: np.ndarray | None = None
-        # Streaming-consult state: squared prefix distances to the
-        # references are advanced incrementally while consecutive consults
-        # extend the same stream, O(reference) per new point instead of
-        # O(reference x t) per consultation.
-        self._cache: PrefixDistanceCache | None = None
-        self._seen: np.ndarray | None = None
 
     def _fit(self, dataset: TimeSeriesDataset) -> None:
         values, labels = dataset.values, dataset.labels
@@ -197,27 +226,9 @@ class PrefixNearestNeighborFallback(FallbackPredictor):
             values, labels = values[indices], labels[indices]
         self._values = np.ascontiguousarray(values, dtype=float)
         self._labels = np.asarray(labels)
-        self._cache = None
-        self._seen = None
 
-    def _predict_label(self, prefix: np.ndarray) -> tuple[int, float | None]:
-        t = min(prefix.shape[1], self._values.shape[2])
-        clipped = prefix[:, :t]
-        cache = self._cache
-        if (
-            cache is None
-            or cache.length > t
-            or self._seen is None
-            or clipped.shape[0] != self._seen.shape[0]
-            or not np.array_equal(clipped[:, : cache.length], self._seen)
-        ):
-            # New stream (or edited history): start the cache over.
-            cache = PrefixDistanceCache(self._values)
-            self._cache = cache
-        distances = cache.advance_chunk(clipped[:, cache.length :])
-        self._seen = clipped.copy()
-        label, confidence = self._vote(distances)
-        return label, confidence
+    def open_stream(self) -> "_PrefixNearestNeighborStream":
+        return _PrefixNearestNeighborStream(self)
 
     def _vote(self, distances: np.ndarray) -> tuple[int, float]:
         """Nearest label + agreement confidence from one distance row."""
@@ -237,8 +248,7 @@ class PrefixNearestNeighborFallback(FallbackPredictor):
         whole group costs one vectorised pass over the references
         instead of ``k`` scans. The per-pair accumulation order matches
         the single-stream path exactly, so labels and confidences are
-        bit-identical to ``k`` separate consultations — and the
-        predictor's single-stream continuation state is left untouched.
+        bit-identical to ``k`` separate consultations.
         """
         if not self._fitted:
             raise NotFittedError(
@@ -272,6 +282,26 @@ class PrefixNearestNeighborFallback(FallbackPredictor):
                 )
             )
         return predictions
+
+
+class _PrefixNearestNeighborStream(FallbackStream):
+    """Squared prefix distances of one stream to the references.
+
+    Each consult advances the stream's cache over the newly observed
+    points only: ``O(reference)`` per point instead of
+    ``O(reference x t)`` per consultation.
+    """
+
+    def __init__(self, predictor: PrefixNearestNeighborFallback) -> None:
+        super().__init__(predictor)
+        self._cache = PrefixDistanceCache(predictor._values)
+
+    def _predict_label(self, prefix: np.ndarray) -> tuple[int, float]:
+        t = min(prefix.shape[1], self._cache.max_length)
+        distances = self._cache.advance_chunk(
+            prefix[:, self._cache.length : t]
+        )
+        return self.predictor._vote(distances)
 
 
 #: Named fallback constructors (the scenario ``fallback`` key).

@@ -181,6 +181,9 @@ class GuardedStreamingSession(StreamingSession):
             )
         self.guard = guard if guard is not None else InputGuard()
         self.fallback = fallback
+        self._fallback_stream = (
+            fallback.open_stream() if fallback is not None else None
+        )
         self.deadline_seconds = deadline_seconds
         self.breaker = breaker
         self.fault_injector = fault_injector
@@ -393,7 +396,7 @@ class GuardedStreamingSession(StreamingSession):
     # ------------------------------------------------------------------
     def _fallback_prediction(self, values: np.ndarray) -> EarlyPrediction:
         self.metrics.counter("serve.fallback_consults").inc()
-        return self.fallback.predict_prefix(values, self.series_length)
+        return self._fallback_stream.consult(values, self.series_length)
 
     def _predict_prefix(self, values: np.ndarray) -> EarlyPrediction:
         """One consultation, measured on the session clock and recorded."""
@@ -445,8 +448,11 @@ class GuardedStreamingSession(StreamingSession):
             with time_limit(
                 self.deadline_seconds if self.preemptive_deadline else None
             ):
-                prediction = self.classifier.predict_one(values)
+                prediction = self._stream.consult(values)
         except Exception as error:
+            # An interrupted consult may leave the stream's state half
+            # advanced; a fresh stream replays the buffer next time.
+            self._stream = self.classifier.open_stream()
             kind = classify_failure(error)
             reason = failure_reason(error)
             note["failure_kind"] = kind

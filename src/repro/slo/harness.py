@@ -83,10 +83,10 @@ def derive_seed(*parts) -> int:
 class SimulatedClassifier:
     """Wrap a trained classifier so consultations cost *virtual* time.
 
-    ``predict_one`` advances the shared virtual clock by a seeded
-    service-model sample before delegating, so the session's cooperative
-    deadline check — reading the same clock — sees exactly that
-    duration. Everything else proxies to the trained classifier.
+    Every stream it opens advances the shared virtual clock by a seeded
+    service-model sample before each consult, so the session's
+    cooperative deadline check — reading the same clock — sees exactly
+    that duration. Everything else proxies to the trained classifier.
 
     Each :class:`ShardRuntime` wraps the bundle classifier around its
     *own* clock, so a runtime is one simulated server.
@@ -98,14 +98,26 @@ class SimulatedClassifier:
         self._service = service
         self._rng = rng
 
-    def predict_one(self, values: np.ndarray):
-        self._vclock.advance(
-            self._service.sample(self._rng, int(values.shape[-1]))
-        )
-        return self._inner.predict_one(values)
+    def open_stream(self) -> "_SimulatedStream":
+        return _SimulatedStream(self, self._inner.open_stream())
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+class _SimulatedStream:
+    """A model stream whose every consult first charges virtual time."""
+
+    def __init__(self, owner: SimulatedClassifier, inner) -> None:
+        self._owner = owner
+        self._inner = inner
+
+    def consult(self, values: np.ndarray):
+        owner = self._owner
+        owner._vclock.advance(
+            owner._service.sample(owner._rng, int(values.shape[-1]))
+        )
+        return self._inner.consult(values)
 
 
 @dataclass

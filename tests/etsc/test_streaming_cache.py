@@ -1,20 +1,22 @@
-"""Streaming ``predict_one`` caches must be invisible to callers.
+"""Per-stream consult state must be invisible to callers.
 
-ECTS and TEASER keep per-stream state so that consulting them with a
-growing prefix (as ``StreamingSession`` and the serving layer do) does
-not recompute work for time-points already seen. The contract: every
-cached consult returns exactly what the stateless base-class path
-returns for the same prefix, and any non-continuation (new stream,
-rewound or edited history) silently resets the state.
+ECTS and TEASER open streams that keep work across a growing prefix, so
+that consulting them point by point (as ``StreamingSession`` and the
+serving layer do) does not recompute work for time-points already seen.
+The contract: every stream consult returns exactly what the stateless
+``predict_one`` returns for the same prefix, and streams opened on one
+shared model never see each other's state.
 """
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
-from repro.core.base import EarlyClassifier
-from repro.data import TimeSeriesDataset
+from repro.core import StreamingSession
 from repro.etsc import ECTS, TEASER
 from repro.serve.fallback import PrefixNearestNeighborFallback
+from repro.stats.distance import PrefixDistanceCache
+from repro.tsc.weasel import WEASEL
 from tests.conftest import make_sinusoid_dataset
 
 
@@ -23,15 +25,20 @@ def dataset():
     return make_sinusoid_dataset(n_instances=24, length=20, seed=3)
 
 
-def _uncached(classifier, prefix):
-    """The stateless reference path, bypassing the streaming override."""
-    return EarlyClassifier.predict_one(classifier, prefix)
-
-
 def _assert_stream_matches_uncached(classifier, row):
+    stream = classifier.open_stream()
     for t in range(1, row.shape[1] + 1):
-        streamed = classifier.predict_one(row[:, :t])
-        assert streamed == _uncached(classifier, row[:, :t]), f"t={t}"
+        streamed = stream.consult(row[:, :t])
+        assert streamed == classifier.predict_one(row[:, :t]), f"t={t}"
+
+
+def _assert_interleaved_match_uncached(classifier, rows, length):
+    streams = [classifier.open_stream() for _ in rows]
+    for t in range(1, length + 1):
+        for stream, row in zip(streams, rows):
+            assert stream.consult(row[:, :t]) == classifier.predict_one(
+                row[:, :t]
+            ), f"t={t}"
 
 
 class TestECTSStreaming:
@@ -44,43 +51,33 @@ class TestECTSStreaming:
             _assert_stream_matches_uncached(trained, row)
 
     def test_interleaved_streams_reset_cleanly(self, trained, dataset):
-        # Alternate two different series: every consult is a
-        # non-continuation of the previous one, forcing a reset each
-        # time; results must still equal the stateless path.
-        first, second = dataset.values[0], dataset.values[1]
-        for t in range(1, dataset.length + 1):
-            assert trained.predict_one(first[:, :t]) == _uncached(
-                trained, first[:, :t]
-            )
-            assert trained.predict_one(second[:, :t]) == _uncached(
-                trained, second[:, :t]
-            )
-
-    def test_rewound_and_edited_history_reset(self, trained, dataset):
-        row = dataset.values[0]
-        trained.predict_one(row[:, :9])
-        # Rewind: shorter prefix of the same stream.
-        assert trained.predict_one(row[:, :4]) == _uncached(
-            trained, row[:, :4]
-        )
-        # Edit: same length, different history.
-        edited = row.copy()
-        edited[:, 2] += 5.0
-        assert trained.predict_one(edited[:, :9]) == _uncached(
-            trained, edited[:, :9]
+        # Alternate two streams on one model: each keeps its own state,
+        # and both still equal the stateless path.
+        _assert_interleaved_match_uncached(
+            trained, dataset.values[:2], dataset.length
         )
 
     def test_matches_batch_predict_at_full_length(self, trained, dataset):
         batch = trained.predict(dataset)
         for row, expected in zip(dataset.values, batch):
-            trained._stream_state = None
+            stream = trained.open_stream()
             streamed = None
             for t in range(1, dataset.length + 1):
-                streamed = trained.predict_one(row[:, :t])
+                streamed = stream.consult(row[:, :t])
                 if streamed.prefix_length <= t and t >= expected.prefix_length:
                     break
             assert streamed.label == expected.label
             assert streamed.prefix_length == expected.prefix_length
+
+    def test_multi_point_extensions_match_uncached(self, trained, dataset):
+        # A session consulting every few points hands the stream several
+        # new points at once.
+        row = dataset.values[5]
+        stream = trained.open_stream()
+        for t in (3, 4, 9, 15, 20):
+            assert stream.consult(row[:, :t]) == trained.predict_one(
+                row[:, :t]
+            )
 
 
 class TestTEASERStreaming:
@@ -94,31 +91,28 @@ class TestTEASERStreaming:
 
     def test_short_prefix_before_first_rung_delegates(self, trained, dataset):
         # Prefixes shorter than the first rung are uncacheable (the
-        # forced rung keeps seeing the growing prefix) — the override
-        # must delegate and still agree with the stateless path.
+        # forced rung keeps seeing the growing prefix) — the stream must
+        # still agree with the stateless path.
         row = dataset.values[2]
         first_rung = int(trained._ladder[0])
+        stream = trained.open_stream()
         for t in range(1, first_rung + 1):
-            assert trained.predict_one(row[:, :t]) == _uncached(
-                trained, row[:, :t]
+            assert stream.consult(row[:, :t]) == trained.predict_one(
+                row[:, :t]
             )
 
     def test_interleaved_streams_reset_cleanly(self, trained, dataset):
-        first, second = dataset.values[0], dataset.values[3]
-        for t in range(1, dataset.length + 1):
-            assert trained.predict_one(first[:, :t]) == _uncached(
-                trained, first[:, :t]
-            )
-            assert trained.predict_one(second[:, :t]) == _uncached(
-                trained, second[:, :t]
-            )
-
-    def test_rewound_history_resets(self, trained, dataset):
-        row = dataset.values[1]
-        trained.predict_one(row)
-        assert trained.predict_one(row[:, :6]) == _uncached(
-            trained, row[:, :6]
+        _assert_interleaved_match_uncached(
+            trained, dataset.values[[0, 3]], dataset.length
         )
+
+    def test_multi_point_extensions_match_uncached(self, trained, dataset):
+        row = dataset.values[7]
+        stream = trained.open_stream()
+        for t in (2, 8, 9, 17, 20):
+            assert stream.consult(row[:, :t]) == trained.predict_one(
+                row[:, :t]
+            )
 
 
 class TestFallbackStreaming:
@@ -127,24 +121,77 @@ class TestFallbackStreaming:
         return PrefixNearestNeighborFallback().fit(dataset)
 
     def test_growing_prefix_matches_fresh_instance(self, fitted, dataset):
-        fresh = PrefixNearestNeighborFallback().fit(dataset)
+        stream = fitted.open_stream()
         query = dataset.values[0] + 0.1
         for t in range(1, dataset.length + 1):
-            incremental = fitted.predict_prefix(query[:, :t], dataset.length)
-            fresh._cache = None
-            fresh._seen = None
-            scratch = fresh.predict_prefix(query[:, :t], dataset.length)
+            incremental = stream.consult(query[:, :t], dataset.length)
+            scratch = fitted.predict_prefix(query[:, :t], dataset.length)
             assert incremental == scratch, f"t={t}"
 
     def test_switching_queries_resets(self, fitted, dataset):
-        fresh = PrefixNearestNeighborFallback().fit(dataset)
+        # Two streams alternate on one predictor, each extended by
+        # several points per consult.
         one, two = dataset.values[0] + 0.2, dataset.values[5] - 0.2
-        for t in (3, 7, 5, 12):
-            for query in (one, two):
-                incremental = fitted.predict_prefix(
-                    query[:, :t], dataset.length
-                )
-                fresh._cache = None
-                fresh._seen = None
-                scratch = fresh.predict_prefix(query[:, :t], dataset.length)
+        queries = [(one, fitted.open_stream()), (two, fitted.open_stream())]
+        for t in (3, 5, 7, 12):
+            for query, stream in queries:
+                incremental = stream.consult(query[:, :t], dataset.length)
+                scratch = fitted.predict_prefix(query[:, :t], dataset.length)
                 assert incremental == scratch
+
+
+class TestInterleavedSessionsCache:
+    """Round-robin sessions on one shared model each keep their own work."""
+
+    @staticmethod
+    def _round_robin(classifier, rows, length):
+        sessions = [StreamingSession(classifier, length) for _ in rows]
+        for t in range(length):
+            for session, row in zip(sessions, rows):
+                if not session.is_decided:
+                    session.push(row[:, t])
+        return sessions
+
+    @staticmethod
+    def _one_at_a_time(classifier, rows, length):
+        return [
+            StreamingSession(classifier, length).run(row) for row in rows
+        ]
+
+    def test_teaser_computes_each_rung_once_per_stream(
+        self, dataset, monkeypatch
+    ):
+        trained = TEASER(n_prefixes=5, seed=0).train(dataset)
+        rows = dataset.values[:4]
+        expected = self._one_at_a_time(trained, rows, dataset.length)
+        calls = Counter()
+        original = WEASEL.predict_proba
+
+        def counted(self, data):
+            # One key per (rung, observed prefix): a rung recomputed for
+            # the same stream counts twice.
+            calls[(id(self), data.values.tobytes())] += 1
+            return original(self, data)
+
+        monkeypatch.setattr(WEASEL, "predict_proba", counted)
+        sessions = self._round_robin(trained, rows, dataset.length)
+        assert calls and max(calls.values()) == 1
+        assert [s.decision for s in sessions] == expected
+
+    def test_ects_advances_once_per_pushed_point_per_stream(
+        self, dataset, monkeypatch
+    ):
+        trained = ECTS(support=0.0).train(dataset)
+        rows = dataset.values[:4]
+        expected = self._one_at_a_time(trained, rows, dataset.length)
+        advances = [0]
+        original = PrefixDistanceCache.advance
+
+        def counted(self, values):
+            advances[0] += 1
+            return original(self, values)
+
+        monkeypatch.setattr(PrefixDistanceCache, "advance", counted)
+        sessions = self._round_robin(trained, rows, dataset.length)
+        assert advances[0] <= sum(s.n_observed for s in sessions)
+        assert [s.decision for s in sessions] == expected

@@ -80,19 +80,19 @@ class TestPrefixNearestNeighbor:
 
 class TestInterleavedStreams:
     def test_alternating_streams_match_dedicated_predictors(self):
-        # A shard serves many sessions through shared machinery; the
-        # prefix-1nn continuation cache must detect every stream switch
-        # (the observed history no longer extends what it saw) and reset,
-        # reproducing dedicated per-stream predictors bit-for-bit.
+        # A shard serves many sessions through one predictor; each
+        # session's stream keeps its own prefix-1nn cache, reproducing
+        # dedicated per-stream predictors bit-for-bit.
         ds = make_shift_dataset(20, length=16)
         shared = PrefixNearestNeighborFallback().fit(ds)
         dedicated = [
             PrefixNearestNeighborFallback().fit(ds) for _ in range(2)
         ]
         streams = [ds.values[0], ds.values[11]]
+        shared_streams = [shared.open_stream() for _ in streams]
         for t in range(1, 17):
             for s, series in enumerate(streams):
-                ours = shared.predict_prefix(series[:, :t], 16)
+                ours = shared_streams[s].consult(series[:, :t], 16)
                 theirs = dedicated[s].predict_prefix(series[:, :t], 16)
                 assert (ours.label, ours.confidence) == (
                     theirs.label,
@@ -134,25 +134,23 @@ class TestBatchedConsultation:
     def test_batch_leaves_streaming_continuation_state_untouched(self):
         # The fleet batches degraded consults through the same predictor
         # instance that serves live streams; the batch must not disturb
-        # an in-progress stream's incremental cache.
+        # an in-progress stream.
         ds = make_shift_dataset(20, length=16)
         fallback = PrefixNearestNeighborFallback().fit(ds)
         control = PrefixNearestNeighborFallback().fit(ds)
-        stream = ds.values[0]
-        fallback.predict_prefix(stream[:, :5], 16)
-        control.predict_prefix(stream[:, :5], 16)
+        stream, control_stream = fallback.open_stream(), control.open_stream()
+        series = ds.values[0]
+        stream.consult(series[:, :5], 16)
+        control_stream.consult(series[:, :5], 16)
         fallback.predict_prefix_batch(
             np.stack([ds.values[7][:, :9], ds.values[12][:, :9]]), 16
         )
-        after = fallback.predict_prefix(stream[:, :10], 16)
-        expected = control.predict_prefix(stream[:, :10], 16)
+        after = stream.consult(series[:, :10], 16)
+        expected = control_stream.consult(series[:, :10], 16)
         assert (after.label, after.confidence) == (
             expected.label,
             expected.confidence,
         )
-        # The continuation cache really did keep advancing (no reset).
-        assert fallback._cache is not None
-        assert fallback._cache.length == 10
 
     def test_base_class_batch_loops_single_consults(self):
         ds = make_sinusoid_dataset(10, length=8)

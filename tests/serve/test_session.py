@@ -389,3 +389,55 @@ class TestPreemptiveDeadlineFlag:
         assert all(
             record.deadline_missed for record in session.consult_records
         )
+
+
+class TestInterruptedConsult:
+    def test_interrupted_consult_does_not_leave_a_stale_stream(
+        self, monkeypatch
+    ):
+        # A preemptive deadline can fire in the middle of a consult, after
+        # the stream's prefix-distance cache advanced but before the
+        # consult finished. The session must drop that stream, so every
+        # later decision equals an uninterrupted session's.
+        from repro.etsc import ECTS
+        from repro.stats.distance import PrefixDistanceCache
+
+        dataset = make_sinusoid_dataset(24, length=12, noise=0.3, seed=5)
+        classifier = ECTS().train(dataset)
+
+        def decide(series, interrupt_at=None):
+            session = GuardedStreamingSession.for_dataset(
+                classifier, dataset, fallback="majority"
+            )
+            calls = [0]
+            original = PrefixDistanceCache.advance
+
+            def advance(self, values):
+                result = original(self, values)
+                calls[0] += 1
+                if calls[0] == interrupt_at:
+                    raise TransientError("interrupted mid-consult")
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PrefixDistanceCache, "advance", advance)
+                decision = session.run(series)
+            failures = session.metrics.snapshot().get(
+                "serve.consult_failures", 0
+            )
+            assert failures == (interrupt_at is not None)
+            return decision
+
+        checked = 0
+        for series in dataset.values:
+            expected = decide(series)
+            if expected.decided_at <= 3:
+                continue  # decided before the interrupted consult
+            interrupted = decide(series, interrupt_at=3)
+            assert (interrupted.label, interrupted.decided_at) == (
+                expected.label,
+                expected.decided_at,
+            )
+            assert not interrupted.degraded
+            checked += 1
+        assert checked >= len(dataset.values) // 2

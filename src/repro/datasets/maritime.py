@@ -19,6 +19,8 @@ use); pass ``scale=50`` for the full published height.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..data.dataset import TimeSeriesDataset
@@ -94,16 +96,16 @@ def simulate_interval(
                 np.degrees(np.arctan2(to_port[0], to_port[1])) % 360.0
             )
             turn = ((target_heading - heading + 180.0) % 360.0) - 180.0
-            heading = (heading + np.clip(turn, -25.0, 25.0)) % 360.0
-            distance = float(np.linalg.norm(to_port))
+            heading = (heading + min(max(turn, -25.0), 25.0)) % 360.0
+            distance = math.sqrt(to_port.dot(to_port))
             if distance < 0.05:
                 speed_knots = max(speed_knots * 0.88, 1.0)
             # Approaching vessels push harder toward the harbour.
             speed_knots = min(speed_knots * 1.02, 18.0)
         else:
             heading = (heading + rng.normal(0.0, 8.0)) % 360.0
-            speed_knots = float(
-                np.clip(speed_knots + rng.normal(0.0, 0.5), 2.0, 20.0)
+            speed_knots = min(
+                max(speed_knots + rng.normal(0.0, 0.5), 2.0), 20.0
             )
         step = speed_knots * degrees_per_knot_minute * 6.0
         direction = np.asarray(

@@ -83,16 +83,21 @@ def _dodger_profile(label_peaks: list[tuple[float, float, float]], rng: np.rando
     Peak positions drift and heights scale per instance (weather, events),
     so same-class days are similar in shape but never near-duplicates.
     """
-    day_scale = rng.uniform(0.75, 1.25)
+    # Scalar draws spelled out: ``lo + (hi - lo) * rng.random()`` is
+    # bitwise ``rng.uniform(lo, hi)`` and ``s * rng.standard_normal()`` is
+    # ``rng.normal(0.0, s)``, at a fraction of the call cost.
+    day_scale = 0.75 + (1.25 - 0.75) * rng.random()
     jittered = [
         (
-            position + rng.normal(0.0, 0.02),
-            width * rng.uniform(0.85, 1.15),
-            height * day_scale * rng.uniform(0.85, 1.15),
+            position + 0.02 * rng.standard_normal(),
+            width * (0.85 + (1.15 - 0.85) * rng.random()),
+            height * day_scale * (0.85 + (1.15 - 0.85) * rng.random()),
         )
         for position, width, height in label_peaks
     ]
-    profile = daily_profile(length, jittered, base=12.0 * rng.uniform(0.8, 1.2))
+    profile = daily_profile(
+        length, jittered, base=12.0 * (0.8 + (1.2 - 0.8) * rng.random())
+    )
     noisy = profile + rng.normal(0.0, 1.5, size=length)
     return np.maximum(noisy, 0.0)
 

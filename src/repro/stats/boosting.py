@@ -14,7 +14,7 @@ import numpy as np
 from ..data.preprocessing import LabelEncoder
 from ..exceptions import DataError, NotFittedError
 from .linear import softmax
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, presort
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -99,21 +99,26 @@ class GradientBoostingClassifier:
         self._stages = []
         if n_classes < 2:
             return self
+        # Every tree's splits are read from this one sort (see tree.py).
+        order = presort(features)
+        rows, stage_order = np.arange(n_samples), order
         for _ in range(self.n_estimators):
             residuals = one_hot - softmax(logits)
             if self.subsample < 1.0:
                 chosen = rng.random(n_samples) < self.subsample
                 if not chosen.any():
                     chosen[rng.integers(n_samples)] = True
-            else:
-                chosen = np.ones(n_samples, dtype=bool)
+                rows = np.flatnonzero(chosen)
+                stage_order = order[chosen[order]].reshape(len(order), len(rows))
             stage: list[DecisionTreeRegressor] = []
             for class_index in range(n_classes):
                 tree = DecisionTreeRegressor(
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                 )
-                tree.fit(features[chosen], residuals[chosen, class_index])
+                tree.fit_presorted(
+                    features, residuals[:, class_index], rows, stage_order
+                )
                 logits[:, class_index] += self.learning_rate * tree.predict(
                     features
                 )

@@ -4,6 +4,15 @@ These are the base learners behind :mod:`repro.stats.boosting`, which in turn
 stands in for the XGBoost base classifiers that ECONOMY-K trains per
 time-point. Splits are found exactly by scanning sorted feature columns with
 vectorised prefix statistics.
+
+The regression tree sorts each feature once per fit (:func:`presort`, a
+stable argsort) and never again: a node filters its parent's per-feature
+orders by the split mask, and a stable order restricted to a subset is that
+subset's own stable argsort. Each node then scores every split of every
+feature in one pass over an ``(n_features, n_node)`` matrix of sorted
+targets. :class:`~repro.stats.boosting.GradientBoostingClassifier` presorts
+once for all its trees and hands each stage's subsample of those orders to
+:meth:`DecisionTreeRegressor.fit_presorted`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 from ..data.preprocessing import LabelEncoder
 from ..exceptions import DataError, NotFittedError
 
-__all__ = ["DecisionTreeRegressor", "DecisionTreeClassifier"]
+__all__ = ["DecisionTreeRegressor", "DecisionTreeClassifier", "presort"]
 
 
 @dataclass
@@ -41,35 +50,9 @@ def _validate_matrix(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
     return features, targets
 
 
-def _best_split_mse(
-    column: np.ndarray, targets: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float] | None:
-    """Best (threshold, score-gain) for one feature under MSE reduction.
-
-    Returns ``None`` when no valid split exists. Uses prefix sums over the
-    column-sorted targets: for a split after position i, the impurity drop is
-    proportional to ``S_l^2 / n_l + S_r^2 / n_r`` (larger is better).
-    """
-    order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    sorted_targets = targets[order]
-    n = len(sorted_targets)
-    prefix = np.cumsum(sorted_targets)
-    total = prefix[-1]
-    positions = np.arange(1, n)
-    # Valid split positions: enough samples each side, and a value change.
-    valid = (positions >= min_samples_leaf) & (positions <= n - min_samples_leaf)
-    valid &= sorted_values[1:] > sorted_values[:-1]
-    if not valid.any():
-        return None
-    left_sum = prefix[:-1]
-    left_count = positions.astype(float)
-    right_count = n - left_count
-    gain = left_sum**2 / left_count + (total - left_sum) ** 2 / right_count
-    gain = np.where(valid, gain, -np.inf)
-    best = int(gain.argmax())
-    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
-    return threshold, float(gain[best])
+def presort(features: np.ndarray) -> np.ndarray:
+    """Stable per-feature sort orders, shape ``(n_features, n_samples)``."""
+    return np.ascontiguousarray(np.argsort(features, axis=0, kind="stable").T)
 
 
 class DecisionTreeRegressor:
@@ -88,35 +71,100 @@ class DecisionTreeRegressor:
         self.min_samples_split = max(2, min_samples_split)
         self._root: _Node | None = None
 
-    def _build(self, features: np.ndarray, targets: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(targets.mean()))
-        if depth >= self.max_depth or len(targets) < self.min_samples_split:
+    def _build(
+        self,
+        features: np.ndarray,
+        targets: np.ndarray,
+        rows: np.ndarray,
+        order: np.ndarray,
+        depth: int,
+    ) -> _Node:
+        """Grow the subtree over ``rows`` (ascending sample indices).
+
+        ``order[f]`` lists ``rows`` sorted stably by feature ``f``. For a
+        split after sorted position ``i`` the MSE drop is proportional to
+        ``S_l^2 / n_l + S_r^2 / n_r`` (larger is better). The best split is
+        the first position of the first feature reaching the largest score.
+        """
+        n = len(rows)
+        total = targets[rows].sum()
+        node = _Node(value=float(total / n))  # bitwise ``targets[rows].mean()``
+        if depth >= self.max_depth or n < self.min_samples_split or not len(order):
             return node
-        best_gain = -np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        for feature in range(features.shape[1]):
-            split = _best_split_mse(
-                features[:, feature], targets, self.min_samples_leaf
-            )
-            if split is not None and split[1] > best_gain:
-                best_threshold, best_gain = split
-                best_feature = feature
-        baseline = targets.sum() ** 2 / len(targets)
-        if best_feature < 0 or best_gain <= baseline + 1e-12:
+        n_features = len(order)
+        feature_index = np.arange(n_features)
+        sorted_values = features.T[feature_index[:, None], order]
+        prefix = np.cumsum(targets[order], axis=1)
+        positions = np.arange(1, n)
+        # Valid split positions: enough samples each side, and a value change.
+        valid = (positions >= self.min_samples_leaf) & (
+            positions <= n - self.min_samples_leaf
+        )
+        valid = valid & (sorted_values[:, 1:] > sorted_values[:, :-1])
+        left_sum = prefix[:, :-1]
+        left_count = positions.astype(float)
+        right_count = n - left_count
+        right_sum = prefix[:, -1:] - left_sum
+        gain = left_sum**2 / left_count + right_sum**2 / right_count
+        gain = np.where(valid, gain, -np.inf)
+        best_positions = gain.argmax(axis=1)
+        best_gains = gain[feature_index, best_positions]
+        feature = int(best_gains.argmax())
+        best_gain = best_gains[feature]
+        baseline = total**2 / n
+        if best_gain == -np.inf or best_gain <= baseline + 1e-12:
             return node
-        mask = features[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(features[mask], targets[mask], depth + 1)
-        node.right = self._build(features[~mask], targets[~mask], depth + 1)
+        position = best_positions[feature]
+        threshold = 0.5 * (
+            sorted_values[feature, position] + sorted_values[feature, position + 1]
+        )
+        go_left = features[:, feature] <= threshold
+        row_left, order_left = go_left[rows], go_left[order]
+        node.feature = feature
+        node.threshold = threshold
+        node.left = self._build(
+            features,
+            targets,
+            rows[row_left],
+            order[order_left].reshape(n_features, -1),
+            depth + 1,
+        )
+        node.right = self._build(
+            features,
+            targets,
+            rows[~row_left],
+            order[~order_left].reshape(n_features, -1),
+            depth + 1,
+        )
         return node
+
+    def fit_presorted(
+        self,
+        features: np.ndarray,
+        targets: np.ndarray,
+        rows: np.ndarray,
+        order: np.ndarray,
+    ) -> "DecisionTreeRegressor":
+        """Grow the tree on ``features[rows]``, ``targets[rows]``.
+
+        ``features`` is a float matrix and ``targets`` a float vector over
+        all samples; ``rows`` holds the ascending indices of the samples to
+        fit on and ``order`` is :func:`presort` of ``features`` restricted
+        to ``rows`` (shape ``(n_features, len(rows))``). The tree is the one
+        ``fit(features[rows], targets[rows])`` grows.
+        """
+        self._root = self._build(features, targets, rows, order, depth=0)
+        return self
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         """Grow the tree on ``(features, targets)``."""
         features, targets = _validate_matrix(features, targets)
-        self._root = self._build(features, targets.astype(float), depth=0)
-        return self
+        return self.fit_presorted(
+            features,
+            targets.astype(float),
+            np.arange(len(targets)),
+            presort(features),
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Mean target of the leaf each row falls into."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import DataError, NotFittedError
-from ..stats.feature_selection import information_gain
 
 __all__ = ["fourier_coefficients", "SFATransformer"]
 
@@ -59,14 +58,63 @@ def _equi_depth_boundaries(column: np.ndarray, n_bins: int) -> np.ndarray:
     return np.quantile(column, quantiles)
 
 
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of class counts.
+
+    Matches :func:`~repro.stats.feature_selection.information_gain`'s
+    entropy bit for bit: only the non-zero counts enter, in class order, and
+    rows with the same number of them are summed together so every row's
+    sum groups its terms exactly as a 1-D ``np.sum`` over them would.
+    """
+    totals = counts.sum(axis=1)
+    present = counts > 0
+    widths = present.sum(axis=1)
+    out = np.zeros(len(counts))
+    for width in np.unique(widths[widths > 0]):
+        rows = widths == width
+        nonzero = counts[rows][present[rows]].reshape(-1, width)
+        proportions = nonzero / totals[rows, None]
+        out[rows] = -np.sum(proportions * np.log2(proportions), axis=1)
+    return out
+
+
+def _split_gains(
+    sorted_values: np.ndarray, sorted_labels: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Information gain of splitting at each threshold, from one sort.
+
+    ``sorted_labels`` follow ``sorted_values`` (ascending). Cumulative class
+    counts along the sorted column, read at ``searchsorted(side="right")``
+    (``values <= threshold``), give every left/right class count at once;
+    each gain equals ``information_gain(values, labels, threshold)`` bit for
+    bit.
+    """
+    n = len(sorted_values)
+    _, classes = np.unique(sorted_labels, return_inverse=True)
+    one_hot = np.zeros((n + 1, classes.max() + 1), dtype=np.int64)
+    one_hot[np.arange(1, n + 1), classes] = 1
+    cumulative = np.cumsum(one_hot, axis=0)
+    left = cumulative[np.searchsorted(sorted_values, thresholds, side="right")]
+    left_n = left.sum(axis=1)
+    weighted = (
+        left_n * _entropies(left) + (n - left_n) * _entropies(cumulative[-1] - left)
+    ) / n
+    return _entropies(cumulative[-1:])[0] - weighted
+
+
 def _information_gain_boundaries(
     column: np.ndarray, labels: np.ndarray, n_bins: int
 ) -> np.ndarray:
-    """Greedy recursive IG splits, as in WEASEL's binning.
+    """Information-gain boundaries, as in WEASEL's binning.
 
-    Repeatedly splits the interval containing the highest-gain candidate
-    until ``n_bins - 1`` boundaries are placed; candidates are the midpoints
-    of a value-sorted subsample.
+    Candidates are the midpoints between distinct consecutive sorted values
+    (evenly subsampled to at most 64). Each candidate is scored once, by the
+    information gain of splitting the *whole* column at it, and the
+    ``n_bins - 1`` best-scoring distinct candidates become the boundaries
+    (the first wins a tie); missing slots are filled with equi-depth cuts.
+
+    A candidate's gain does not depend on the boundaries already placed, so
+    all of them are scored once, from one sort (:func:`_split_gains`).
     """
     order = np.argsort(column, kind="stable")
     sorted_values = column[order]
@@ -80,14 +128,14 @@ def _information_gain_boundaries(
         candidates = candidates[
             np.linspace(0, candidates.size - 1, 64).astype(int)
         ]
+    gains = _split_gains(sorted_values, np.asarray(labels)[order], candidates)
     boundaries: list[float] = []
     for _ in range(n_bins - 1):
         best_gain = -np.inf
         best_candidate = None
-        for candidate in candidates:
+        for candidate, gain in zip(candidates.tolist(), gains.tolist()):
             if any(abs(candidate - b) < 1e-12 for b in boundaries):
                 continue
-            gain = information_gain(column, labels, candidate)
             if gain > best_gain:
                 best_gain = gain
                 best_candidate = float(candidate)

@@ -228,3 +228,92 @@ class TestUcrGenerators:
     def test_non_wide_datasets_keep_length(self):
         dataset = ucr.generate("PowerCons", scale=0.1, seed=0)
         assert dataset.length == 144
+
+
+#: Labels and per-instance value sums of small generated sets, recorded
+#: from the generators as they stand. Any change to the order or kind of
+#: random draws (a reordered stream) moves them; equal draws reproduce
+#: them on every platform to well within ``rtol=1e-9``.
+DODGER_WEEKEND_FINGERPRINTS = {
+    0: (
+        [1, 0, 1, 0, 0, 0, 0, 0],
+        [
+            5587.27164056, 5446.9720532, 4490.59613683,
+            5539.48720173, 5103.01542454, 5506.99572352,
+            5267.83952601, 5303.31033174,
+        ],
+    ),
+    1: (
+        [1, 0, 0, 0, 0, 0, 1, 0],
+        [
+            5523.95749004, 5951.57700496, 5481.32023762,
+            5005.98312168, 6416.19770061, 5006.24393479,
+            5606.47582005, 5843.74974885,
+        ],
+    ),
+    2: (
+        [0, 0, 1, 0, 0, 0, 1, 0],
+        [
+            5589.42112679, 6587.42366902, 5758.31608926,
+            4923.95656177, 5547.26386286, 5275.36986937,
+            5459.68366343, 5448.55097924,
+        ],
+    ),
+}
+MARITIME_FINGERPRINT = (
+    [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0,
+        0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        1,
+    ],
+    [
+        14676.8050279, 13382.2451844, 14760.8700058,
+        15951.5829406, 26420.4933365, 12567.7344701,
+        20275.2939614, 21603.845738, 26608.4164369,
+        22118.079524, 18800.5063739, 13334.4745543,
+        30396.4435366, 22156.3621638, 29423.4682813,
+        25830.5930249, 27457.5506232, 30596.5877065,
+        29754.6342836, 31060.0844213, 23297.7748946,
+        31442.441024, 34015.6093189, 28619.8541409,
+        32049.4284443, 39129.8083144, 35598.4239991,
+        37357.7410023, 44398.2735468, 37430.1266235,
+        33464.3262399, 44962.5278848, 42155.8856773,
+        43154.4857606, 36223.8576268, 52228.9246815,
+        41718.2117074, 39832.0821337, 55806.5110047,
+        38871.4036383, 48385.4454429, 44890.1545742,
+        46412.7191154, 51752.3661716, 45515.1437547,
+        51095.4688547, 46022.1564042, 61892.2208994,
+        59479.987461, 49042.170354, 58459.4061619,
+        68348.0534513, 53635.0800441, 59198.288255,
+        56920.061498, 60896.0422729, 68947.5818133,
+        66467.9663179, 57955.2170047, 65143.0900719,
+        65745.5447057, 69318.7939602, 60532.4681417,
+        76567.478545, 73534.8169611, 62450.9528417,
+        73393.2139511, 78852.0531769, 74892.4927912,
+        67125.6349722, 75556.4943627, 77417.2547899,
+        69042.4221727, 87867.394989, 87680.7395432,
+        76488.7233071, 83216.0907022, 85431.660006,
+        81832.8339466, 86933.4792142, 86548.7581189,
+    ],
+)
+
+
+def _instance_sums(dataset):
+    return dataset.values.reshape(dataset.n_instances, -1).sum(axis=1)
+
+
+class TestGeneratorFingerprints:
+    @pytest.mark.parametrize("seed", sorted(DODGER_WEEKEND_FINGERPRINTS))
+    def test_dodger_loop_weekend(self, seed):
+        labels, sums = DODGER_WEEKEND_FINGERPRINTS[seed]
+        dataset = ucr.generate("DodgerLoopWeekend", scale=0.05, seed=seed)
+        assert dataset.labels.tolist() == labels
+        np.testing.assert_allclose(_instance_sums(dataset), sums, rtol=1e-9)
+
+    def test_maritime(self):
+        labels, sums = MARITIME_FINGERPRINT
+        dataset = maritime.generate(scale=0.05, seed=0)
+        assert dataset.labels.tolist() == labels
+        np.testing.assert_allclose(_instance_sums(dataset), sums, rtol=1e-9)

@@ -1,4 +1,4 @@
-"""Equivalence of the vectorised clustering kernels with their loops.
+"""Equivalence of vectorised kernels with the loops they replaced.
 
 The k-means centroid update and the hierarchical-clustering merge loop
 were rewritten for speed (indicator-matrix GEMM; cached row minima with
@@ -6,14 +6,33 @@ Lance-Williams-aware updates). These tests pin the rewrites to reference
 implementations of the historical per-centroid / full-matrix-scan loops:
 k-means must agree to floating-point accumulation order (allclose),
 dendrograms must be *identical* including tie-breaking.
+
+The SFA information-gain binning (every candidate scored from one sort)
+and the regression-tree split search (one presort per fit, all features
+scored per node) must make exactly the decisions of the historical
+per-candidate ``information_gain`` loop and per-node argsort scan: equal
+boundaries, equal ``(feature, threshold)`` trees, bitwise-equal
+probabilities.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from repro.stats.boosting import GradientBoostingClassifier
 from repro.stats.distance import pairwise_squared_euclidean
+from repro.stats.feature_selection import information_gain
 from repro.stats.hierarchical import linkage_merge_order
 from repro.stats.kmeans import KMeans
+from repro.stats.tree import DecisionTreeRegressor, _Node, _validate_matrix
+from repro.transform.sfa import (
+    SFATransformer,
+    _equi_depth_boundaries,
+    _information_gain_boundaries,
+    _split_gains,
+    fourier_coefficients,
+)
 
 
 def _reference_lloyd_update(rows, centroids, n_clusters):
@@ -141,3 +160,300 @@ class TestHierarchicalCachedMinima:
                 assert linkage_merge_order(base, linkage) == (
                     _reference_merge_order(base, linkage)
                 ), f"trial={trial} linkage={linkage}"
+
+
+def _reference_ig_boundaries(column, labels, n_bins):
+    """The historical greedy loop: ``information_gain`` per candidate."""
+    order = np.argsort(column, kind="stable")
+    sorted_values = column[order]
+    distinct = sorted_values[1:] > sorted_values[:-1]
+    candidates = 0.5 * (sorted_values[1:] + sorted_values[:-1])[distinct]
+    if candidates.size == 0:
+        return _equi_depth_boundaries(column, n_bins)
+    if candidates.size > 64:
+        candidates = candidates[
+            np.linspace(0, candidates.size - 1, 64).astype(int)
+        ]
+    boundaries = []
+    for _ in range(n_bins - 1):
+        best_gain = -np.inf
+        best_candidate = None
+        for candidate in candidates:
+            if any(abs(candidate - b) < 1e-12 for b in boundaries):
+                continue
+            gain = information_gain(column, labels, candidate)
+            if gain > best_gain:
+                best_gain = gain
+                best_candidate = float(candidate)
+        if best_candidate is None:
+            break
+        boundaries.append(best_candidate)
+    while len(boundaries) < n_bins - 1:
+        filler = _equi_depth_boundaries(column, n_bins)
+        for value in filler:
+            if len(boundaries) >= n_bins - 1:
+                break
+            if all(abs(value - b) > 1e-12 for b in boundaries):
+                boundaries.append(float(value))
+        break
+    return np.sort(np.asarray(boundaries))
+
+
+def _column(kind, n, rng):
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "ties":
+        return rng.integers(0, 5, n) * 0.5
+    if kind == "adjacent":  # neighbouring floats: midpoints round onto values
+        steps = np.nextafter(1.0, 2.0) - 1.0
+        return 1.0 + rng.integers(0, 4, n) * steps
+    return rng.normal(size=n)
+
+
+COLUMN_KINDS = ["continuous", "ties", "constant", "adjacent"]
+
+
+class TestSFABinningFromOneSort:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        n_classes=st.integers(2, 4),
+        n_bins=st.integers(2, 6),
+        kind=st.sampled_from(COLUMN_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boundaries_match_greedy_information_gain_loop(
+        self, n, n_classes, n_bins, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        column = _column(kind, n, rng)
+        labels = rng.integers(0, n_classes, n)
+        assert np.array_equal(
+            _information_gain_boundaries(column, labels, n_bins),
+            _reference_ig_boundaries(column, labels, n_bins),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        n_classes=st.sampled_from([2, 3, 4, 7, 11]),
+        kind=st.sampled_from(COLUMN_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_gains_equal_information_gain_bitwise(
+        self, n, n_classes, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        column = _column(kind, n, rng)
+        labels = rng.integers(0, n_classes, n)
+        order = np.argsort(column, kind="stable")
+        sorted_values = column[order]
+        # Midpoints and the values themselves (``<=`` must include them).
+        thresholds = np.concatenate(
+            [0.5 * (sorted_values[1:] + sorted_values[:-1]), sorted_values]
+        )
+        expected = [information_gain(column, labels, t) for t in thresholds]
+        assert np.array_equal(
+            _split_gains(sorted_values, labels[order], thresholds), expected
+        )
+
+    def test_many_candidates_many_classes_and_string_labels(self):
+        rng = np.random.default_rng(3)
+        for n_classes in (2, 7, 11):
+            column = rng.normal(size=500)  # > 64 candidates, subsampled
+            labels = np.asarray(
+                [f"c{k}" for k in rng.integers(0, n_classes, 500)]
+            )
+            for n_bins in (2, 4, 6):
+                assert np.array_equal(
+                    _information_gain_boundaries(column, labels, n_bins),
+                    _reference_ig_boundaries(column, labels, n_bins),
+                )
+
+    def test_transformer_fit_matches_reference_per_coefficient(self):
+        rng = np.random.default_rng(5)
+        windows = rng.normal(size=(120, 16))
+        labels = rng.integers(0, 3, 120)
+        sfa = SFATransformer(word_length=4, alphabet_size=4).fit(
+            windows, labels
+        )
+        coefficients = fourier_coefficients(windows, 4)
+        for position in range(4):
+            assert np.array_equal(
+                sfa.boundaries_[position],
+                _reference_ig_boundaries(coefficients[:, position], labels, 4),
+            )
+
+
+def _reference_best_split_mse(column, targets, min_samples_leaf):
+    """The historical per-node, per-feature argsort scan."""
+    order = np.argsort(column, kind="stable")
+    sorted_values = column[order]
+    sorted_targets = targets[order]
+    n = len(sorted_targets)
+    prefix = np.cumsum(sorted_targets)
+    total = prefix[-1]
+    positions = np.arange(1, n)
+    valid = (positions >= min_samples_leaf) & (positions <= n - min_samples_leaf)
+    valid &= sorted_values[1:] > sorted_values[:-1]
+    if not valid.any():
+        return None
+    left_sum = prefix[:-1]
+    left_count = positions.astype(float)
+    right_count = n - left_count
+    gain = left_sum**2 / left_count + (total - left_sum) ** 2 / right_count
+    gain = np.where(valid, gain, -np.inf)
+    best = int(gain.argmax())
+    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
+    return threshold, float(gain[best])
+
+
+class _ReferenceTree(DecisionTreeRegressor):
+    """The historical tree: re-argsorts every feature at every node."""
+
+    def _reference_build(self, features, targets, depth):
+        node = _Node(value=float(targets.mean()))
+        if depth >= self.max_depth or len(targets) < self.min_samples_split:
+            return node
+        best_gain = -np.inf
+        best_feature = -1
+        best_threshold = 0.0
+        for feature in range(features.shape[1]):
+            split = _reference_best_split_mse(
+                features[:, feature], targets, self.min_samples_leaf
+            )
+            if split is not None and split[1] > best_gain:
+                best_threshold, best_gain = split
+                best_feature = feature
+        baseline = targets.sum() ** 2 / len(targets)
+        if best_feature < 0 or best_gain <= baseline + 1e-12:
+            return node
+        mask = features[:, best_feature] <= best_threshold
+        node.feature = best_feature
+        node.threshold = best_threshold
+        node.left = self._reference_build(
+            features[mask], targets[mask], depth + 1
+        )
+        node.right = self._reference_build(
+            features[~mask], targets[~mask], depth + 1
+        )
+        return node
+
+    def fit(self, features, targets):
+        features, targets = _validate_matrix(features, targets)
+        self._root = self._reference_build(
+            features, targets.astype(float), depth=0
+        )
+        return self
+
+
+class _ReferenceBoosting(GradientBoostingClassifier):
+    """The historical fit loop: each tree fits ``features[chosen]``."""
+
+    def fit(self, features, labels):
+        from repro.stats.linear import softmax
+
+        features = np.asarray(features, dtype=float)
+        encoded = self._encoder.fit_transform(labels)
+        n_samples = features.shape[0]
+        n_classes = len(self._encoder.classes_)
+        one_hot = np.zeros((n_samples, n_classes))
+        one_hot[np.arange(n_samples), encoded] = 1.0
+        priors = np.clip(one_hot.mean(axis=0), 1e-12, None)
+        self._base_logits = np.log(priors)
+        logits = np.tile(self._base_logits, (n_samples, 1))
+        rng = np.random.default_rng(self.seed)
+        self._stages = []
+        if n_classes < 2:
+            return self
+        for _ in range(self.n_estimators):
+            residuals = one_hot - softmax(logits)
+            if self.subsample < 1.0:
+                chosen = rng.random(n_samples) < self.subsample
+                if not chosen.any():
+                    chosen[rng.integers(n_samples)] = True
+            else:
+                chosen = np.ones(n_samples, dtype=bool)
+            stage = []
+            for class_index in range(n_classes):
+                tree = _ReferenceTree(
+                    max_depth=self.max_depth,
+                    min_samples_leaf=self.min_samples_leaf,
+                )
+                tree.fit(features[chosen], residuals[chosen, class_index])
+                logits[:, class_index] += self.learning_rate * tree.predict(
+                    features
+                )
+                stage.append(tree)
+            self._stages.append(stage)
+        return self
+
+
+def _shape(node):
+    """A tree as nested ``(feature, threshold, left, right)`` / leaf value."""
+    if node.feature < 0:
+        return float(node.value)
+    return (
+        node.feature,
+        float(node.threshold),
+        _shape(node.left),
+        _shape(node.right),
+    )
+
+
+def _tree_features(kind, n, n_features, rng):
+    if kind == "ties":
+        return rng.integers(0, 4, size=(n, n_features)).astype(float)
+    features = rng.normal(size=(n, n_features))
+    if kind == "duplicated":  # identical columns tie on every split
+        features[:, 1:] = features[:, :1]
+    return features
+
+
+class TestTreeSplitsFromOnePresort:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        n_features=st.integers(1, 6),
+        max_depth=st.integers(1, 4),
+        min_samples_leaf=st.integers(1, 4),
+        kind=st.sampled_from(["continuous", "ties", "duplicated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_regressor_matches_per_node_argsort(
+        self, n, n_features, max_depth, min_samples_leaf, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        features = _tree_features(kind, n, n_features, rng)
+        targets = rng.normal(size=n)
+        params = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        tree = DecisionTreeRegressor(**params).fit(features, targets)
+        reference = _ReferenceTree(**params).fit(features, targets)
+        assert _shape(tree._root) == _shape(reference._root)
+        probe = rng.normal(size=(20, n_features))
+        assert np.array_equal(tree.predict(probe), reference.predict(probe))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        n_features=st.integers(1, 5),
+        n_classes=st.integers(2, 4),
+        subsample=st.sampled_from([1.0, 0.8]),
+        kind=st.sampled_from(["continuous", "ties", "duplicated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boosting_matches_per_node_argsort(
+        self, n, n_features, n_classes, subsample, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        features = _tree_features(kind, n, n_features, rng)
+        labels = rng.integers(0, n_classes, n)
+        params = dict(n_estimators=6, subsample=subsample, seed=seed % 1000)
+        model = GradientBoostingClassifier(**params).fit(features, labels)
+        reference = _ReferenceBoosting(**params).fit(features, labels)
+        assert [[_shape(t._root) for t in stage] for stage in model._stages] == [
+            [_shape(t._root) for t in stage] for stage in reference._stages
+        ]
+        assert np.array_equal(
+            model.predict_proba(features), reference.predict_proba(features)
+        )

@@ -23,7 +23,7 @@ Like ``bench_serve.py``, this is a standalone script (CI's
 
     PYTHONPATH=src python benchmarks/bench_fleet.py               # run all
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick \
-        --check BENCH_FLEET.json                                  # CI gate
+        --output /tmp/fleet.json --check BENCH_FLEET.json         # CI gate
     PYTHONPATH=src python benchmarks/bench_fleet.py --determinism # 2x run
 
 ``--check`` fails when any entry's p99 response latency exceeds 1.5x the
@@ -44,8 +44,8 @@ import sys
 from pathlib import Path
 
 from repro.fleet import FleetConfig, SHED_REJECT_NEW, run_fleet
-from repro.fleet.cli import replicate_scenario
 from repro.slo import bundled_scenarios, load_scenario
+from repro.slo.scenario import replicate_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_FLEET.json"
@@ -240,15 +240,15 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "fleets": reports,
     }
+    # Gate before writing: --output may be the baseline file itself.
+    code = _check(results, Path(arguments.check)) if arguments.check else 0
     output = Path(arguments.output)
     output.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"\nresults written to {output}")
 
-    if arguments.check:
-        return _check(results, Path(arguments.check))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

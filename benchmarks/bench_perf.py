@@ -13,7 +13,7 @@ Unlike the ``bench_*`` figure benches, this file is a standalone script
     PYTHONPATH=src python benchmarks/bench_perf.py            # full
     PYTHONPATH=src python benchmarks/bench_perf.py --quick    # CI sizes
     PYTHONPATH=src python benchmarks/bench_perf.py --quick \
-        --check BENCH_PERF.json                               # gate
+        --output /tmp/perf.json --check BENCH_PERF.json       # gate
 
 ``--check`` compares *speedups* (vectorised vs naive, both measured in
 the same process on the same machine) rather than absolute seconds, so
@@ -380,15 +380,15 @@ def main(argv: list[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         "ops": ops,
     }
+    # Gate before writing: --output may be the baseline file itself.
+    code = _check(results, Path(arguments.check)) if arguments.check else 0
     output = Path(arguments.output)
     output.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"\nresults written to {output}")
 
-    if arguments.check:
-        return _check(results, Path(arguments.check))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ Like ``bench_serve.py``, this is a standalone script (CI's
 
     PYTHONPATH=src python benchmarks/bench_robust.py               # run
     PYTHONPATH=src python benchmarks/bench_robust.py \
-        --check BENCH_ROBUST.json                                  # gate
+        --output /tmp/robust.json --check BENCH_ROBUST.json        # gate
     PYTHONPATH=src python benchmarks/bench_robust.py --determinism # 2x run
 
 ``--check`` fails when (a) a clean severity-0 cell moved beyond a small
@@ -220,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
 
     results = _run_grid()
     results["python"] = platform.python_version()
+    # Gate before writing: --output may be the baseline file itself.
+    code = _check(results, Path(arguments.check)) if arguments.check else 0
     output = Path(arguments.output)
     output.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n",
@@ -227,9 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"\nresults written to {output}")
 
-    if arguments.check:
-        return _check(results, Path(arguments.check))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

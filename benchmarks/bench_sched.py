@@ -20,7 +20,7 @@ Like ``bench_perf.py``, this is a standalone script (CI's
     PYTHONPATH=src python benchmarks/bench_sched.py            # full
     PYTHONPATH=src python benchmarks/bench_sched.py --quick    # CI repeats
     PYTHONPATH=src python benchmarks/bench_sched.py --quick \
-        --check BENCH_SCHED.json                               # gate
+        --output /tmp/sched.json --check BENCH_SCHED.json      # gate
 
 ``--check`` gates on the LPT-vs-FIFO *speedup* (both measured in the
 same process on the same machine, so the ratio survives CI runner
@@ -389,15 +389,15 @@ def main(argv: list[str] | None = None) -> int:
             work_dir = Path(tempfile.mkdtemp(prefix="bench_sched_"))
         _shard_benchmarks(work_dir, results)
 
+    # Gate before writing: --output may be the baseline file itself.
+    code = _check(results, Path(arguments.check)) if arguments.check else 0
     output = Path(arguments.output)
     output.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"\nresults written to {output}")
 
-    if arguments.check:
-        return _check(results, Path(arguments.check))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

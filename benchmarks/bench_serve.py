@@ -14,7 +14,7 @@ Like ``bench_perf.py``, this is a standalone script (CI's
 
     PYTHONPATH=src python benchmarks/bench_serve.py               # run all
     PYTHONPATH=src python benchmarks/bench_serve.py \
-        --check BENCH_SERVE.json                                  # gate
+        --output /tmp/serve.json --check BENCH_SERVE.json         # gate
     PYTHONPATH=src python benchmarks/bench_serve.py --determinism # 2x run
 
 ``--check`` fails when a scenario is missing from either side, when
@@ -170,15 +170,15 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "scenarios": reports,
     }
+    # Gate before writing: --output may be the baseline file itself.
+    code = _check(results, Path(arguments.check)) if arguments.check else 0
     output = Path(arguments.output)
     output.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"\nresults written to {output}")
 
-    if arguments.check:
-        return _check(results, Path(arguments.check))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -23,14 +23,12 @@ configs (arrival process, stream mix, service model, deadline, faults)
 through the resilient streaming endpoint — input guards, deadlines,
 fallback degradation, circuit breakers — on a virtual or wall clock,
 and reports latency quantiles to p99.9, jitter, throughput, and
-deadline-miss/degraded-decision rates (see ``docs/slo.md`` and
-``docs/serving.md``).
-
-Fleet: ``etsc-bench serve-fleet ...`` serves the same scenarios through
-a multi-tenant sharded fleet — bounded admission with load-shedding
-policies, per-shard health tracking, automatic failover of SIGKILLed or
-hung shard workers — and reports per-shard and fleet-wide SLOs plus
-shed/degraded/failover rates (see ``docs/serving.md``).
+deadline-miss/degraded-decision rates (see ``docs/slo.md``). With
+``--shards N`` it serves the same scenarios through a multi-tenant
+sharded fleet — bounded admission with load-shedding policies,
+per-shard health tracking, automatic failover of SIGKILLed or hung
+shard workers — and adds per-shard SLOs plus shed/degraded/failover
+rates to the same report (see ``docs/serving.md``).
 
 Robustness: ``etsc-bench robustness ...`` evaluates algorithms on
 deterministically corrupted dataset variants (missing blocks, dropout,
@@ -268,10 +266,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         from ..slo.cli import main as serve_slo_main
 
         return serve_slo_main(argv[1:], out)
-    if argv and argv[0] == "serve-fleet":
-        from ..fleet.cli import main as serve_fleet_main
-
-        return serve_fleet_main(argv[1:], out)
     if argv and argv[0] == "robustness":
         from ..robustness.cli import main as robustness_main
 

@@ -21,10 +21,12 @@ any single session's guard/deadline/breaker/fallback stack:
   runs given the same scenario, config, and fault plan — even when the
   fault plan delivers real ``SIGKILL``\\ s mid-replay.
 
-``etsc-bench serve-fleet`` drives SLO scenarios (:mod:`repro.slo`)
-against the fleet and reports per-shard and fleet-wide latency
-quantiles to p99.9, shed/degraded/failover rates, and ``fleet.*``
-counters recomputable from a trace via
+``etsc-bench serve-slo --shards N`` drives SLO scenarios
+(:mod:`repro.slo`) against the fleet. :func:`run_fleet` returns the
+same :class:`~repro.slo.report.ScenarioReport` as the in-process
+replay, with a fleet section on top: per-shard latency quantiles to
+p99.9, shed/degraded/failover rates, and ``fleet.*`` counters
+recomputable from a trace via
 :func:`repro.obs.metrics.metrics_from_spans` (``docs/serving.md``).
 """
 
@@ -39,7 +41,6 @@ from .config import (
 )
 from .coordinator import run_fleet
 from .faults import FleetFaultPlan, parse_fleet_fault_specs
-from .report import FleetReport, ShardSummary
 
 __all__ = [
     "AdmissionDecision",
@@ -52,8 +53,6 @@ __all__ = [
     "run_fleet",
     "FleetFaultPlan",
     "parse_fleet_fault_specs",
-    "FleetReport",
-    "ShardSummary",
     "ShardRuntime",
     "StreamDescriptor",
 ]

@@ -11,9 +11,9 @@ to long-lived serving sessions:
   streams. Each shard is one simulated server (its own virtual clock),
   so a one-shard fleet reproduces ``run_scenario`` stream for stream:
   same decisions, consultations, deadline misses and ``serve.*``
-  counters. The two reports differ only in what they call makespan:
-  the fleet reports its maximum shard clock, the scenario report the
-  span from first arrival to last consultation.
+  counters. Both return a :class:`~repro.slo.report.ScenarioReport`;
+  the fleet's carries a :class:`~repro.slo.report.FleetSection` and
+  measures makespan as its largest shard clock.
 * **Commitment** happens here. A stream's records leave its shard only
   together with its final decision, so the parent can aggregate every
   total in ``global_index`` order regardless of which worker — or which
@@ -51,7 +51,8 @@ plans record which directives already fired.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +68,11 @@ from ..slo.harness import (
     scenario_streams,
     train_scenario_bundles,
 )
-from ..slo.report import summarize_responses
+from ..slo.report import FleetSection, ScenarioReport, ShardSummary
 from ..slo.scenario import CLOCK_VIRTUAL, Scenario
 from .admission import ADMITTED, DEGRADED, SHED, AdmissionQueue
 from .config import FleetConfig
 from .faults import FAULT_KILL, FleetFaultPlan
-from .report import FleetReport, ShardSummary
 from .shard import set_shard_state, shard_main
 
 __all__ = ["run_fleet"]
@@ -172,14 +172,14 @@ def run_fleet(
     *,
     algorithms=None,
     datasets=None,
-) -> FleetReport:
+) -> ScenarioReport:
     """Serve ``scenario`` through a sharded fleet; return its report.
 
     ``algorithms``/``datasets`` default to the standard registries at
     the scenario's scale and seed, as in ``run_scenario``; tests inject
     tiny custom registries. The report is deterministic given the same
     (scenario, config, fault plan) — byte-identical on
-    :meth:`FleetReport.deterministic_dict`.
+    :meth:`ScenarioReport.deterministic_dict`.
     """
     wall_start = time.perf_counter()
     config = config if config is not None else FleetConfig()
@@ -436,35 +436,16 @@ def run_fleet(
 
     # -- commitment: aggregate in global_index order ---------------------
     tracer = get_tracer()
-    decisions: list[StreamingDecision] = []
-    true_labels: list[int] = []
-    responses: list[float] = []
-    n_decided = n_no_decision = n_degraded = n_shed = 0
-    n_points = misses = recoveries = 0
-    counters: dict[str, int] = {}
+    tally: Counter[str] = Counter()
+    results: list[dict] = []
     for g in range(n_requested):
         state = streams[g]
         if state.outcome is None:  # pragma: no cover - loop invariant
             raise ReproError(f"stream {g} fell through the fleet unaccounted")
-        if state.outcome == OUTCOME_SHED:
-            n_shed += 1
-        elif state.outcome == OUTCOME_DEGRADED:
-            n_degraded += 1
-        elif state.outcome == OUTCOME_NO_DECISION:
-            n_no_decision += 1
-        else:
-            n_decided += 1
+        tally[state.outcome] += 1
         result = state.result
         if result is not None:
-            if result["decision"] is not None:
-                decisions.append(result["decision"])
-                true_labels.append(result["true_label"])
-            responses.extend(result["responses"])
-            n_points += result["n_points"]
-            misses += result["misses"]
-            recoveries += result["breaker_recoveries"]
-            for name, value in result["counters"].items():
-                counters[name] = counters.get(name, 0) + value
+            results.append(result)
         with tracer.span(
             "fleet_stream",
             stream=g,
@@ -485,64 +466,43 @@ def run_fleet(
         ):
             pass
 
-    counters.update(
-        {
-            "fleet.requested": n_requested,
-            "fleet.admitted": queue.n_admitted,
-            "fleet.decided": n_decided,
-            "fleet.no_decision": n_no_decision,
-            "fleet.degraded": n_degraded,
-            "fleet.shed": n_shed,
-            "fleet.failovers": failovers,
-            "fleet.stream_failovers": sum(
-                state.failovers for state in streams.values()
-            ),
-            "fleet.batched_consults": batched_consults,
-        }
-    )
-
     deadline = scenario.deadline_seconds
-    latency, iqr = summarize_responses(responses, deadline)
-    shard_summaries = [
-        ShardSummary(
-            shard=slot.index,
-            streams_completed=slot.streams_completed,
-            n_consults=slot.n_consults,
-            misses=slot.misses,
-            latency=LatencySummary.from_latencies(
-                slot.responses, budget_seconds=deadline
-            ),
-            makespan_seconds=slot.last_clock,
-            generations=slot.generations,
-            deaths=slot.deaths,
-        )
-        for slot in slots
-    ]
-    return FleetReport(
-        scenario=scenario,
+    fleet = FleetSection(
         config=config,
+        ticks=tick,
         n_requested=n_requested,
         n_admitted=queue.n_admitted,
-        n_decided=n_decided,
-        n_no_decision=n_no_decision,
-        n_degraded=n_degraded,
-        n_shed=n_shed,
-        n_points=n_points,
-        n_consults=len(responses),
-        ticks=tick,
-        decisions=decisions,
-        true_labels=true_labels,
-        latency=latency,
-        iqr_seconds=iqr,
+        n_decided=tally[OUTCOME_DECIDED],
+        n_no_decision=tally[OUTCOME_NO_DECISION],
+        n_degraded=tally[OUTCOME_DEGRADED],
+        n_shed=tally[OUTCOME_SHED],
+        failovers=failovers,
+        stream_failovers=sum(state.failovers for state in streams.values()),
+        batched_consults=batched_consults,
+        shards=[
+            ShardSummary(
+                shard=slot.index,
+                streams_completed=slot.streams_completed,
+                n_consults=slot.n_consults,
+                misses=slot.misses,
+                latency=LatencySummary.from_latencies(
+                    slot.responses, budget_seconds=deadline
+                ),
+                makespan_seconds=slot.last_clock,
+                generations=slot.generations,
+                deaths=slot.deaths,
+            )
+            for slot in slots
+        ],
+    )
+    # Responses fold in global stream order, not consultation order:
+    # shards consult concurrently, and the committed jitter depends on it.
+    return ScenarioReport.from_outcomes(
+        scenario,
+        results,
         makespan_seconds=max(
             (slot.last_clock for slot in slots), default=0.0
         ),
-        deadline_misses=misses,
-        failovers=failovers,
-        batched_consults=batched_consults,
-        breaker_trips=counters.get("serve.breaker_trips", 0),
-        breaker_recoveries=recoveries,
-        shards=shard_summaries,
-        counters=counters,
         environment=_environment(time.perf_counter() - wall_start),
+        fleet=fleet,
     )

@@ -286,8 +286,8 @@ def metrics_from_spans(spans: Iterable[Any]) -> MetricsRegistry:
             # The fleet coordinator emits one fleet_stream span per
             # requested stream at commit time, attributed with the
             # stream's final accounting outcome — so the fleet.* rollup
-            # from a trace matches the live FleetReport counters exactly
-            # (the contract the slo.* rollup established for scenarios).
+            # from a trace matches the report's live fleet.* counters
+            # exactly (the contract the slo.* rollup established).
             registry.counter("fleet.requested").inc()
             outcome = span.attributes.get("fleet.outcome")
             if outcome in ("decided", "no_decision", "degraded", "shed"):

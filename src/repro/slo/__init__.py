@@ -16,6 +16,11 @@ serve-slo --scenario <file-or-name>`` runs any of them, and
 ``benchmarks/bench_serve.py`` maintains the committed, CI-gated
 ``BENCH_SERVE.json`` trajectory alongside ``BENCH_PERF.json``.
 
+``serve-slo --shards N`` serves the same scenarios through the sharded
+fleet (:mod:`repro.fleet`); both drivers return one
+:class:`ScenarioReport`, whose optional fleet section holds admission,
+failover and per-shard data.
+
 Virtual-clock replays are fully deterministic: arrival times and
 simulated service times come from seeded generators, deadlines are
 enforced on the session's injected clock (never SIGALRM), and two runs
@@ -31,7 +36,7 @@ from .harness import (
     run_scenario,
     train_scenario_bundles,
 )
-from .report import ScenarioReport
+from .report import FleetSection, ScenarioReport, ShardSummary
 from .scenario import (
     CLOCK_MODES,
     BreakerSpec,
@@ -54,6 +59,8 @@ __all__ = [
     "ScenarioBundle",
     "train_scenario_bundles",
     "ScenarioReport",
+    "FleetSection",
+    "ShardSummary",
     "CLOCK_MODES",
     "BreakerSpec",
     "Scenario",

@@ -57,7 +57,7 @@ from ..serve.guard import GuardStats, InputGuard
 from ..serve.fallback import make_fallback
 from ..serve.session import GuardedStreamingSession
 from .clock import VirtualClock
-from .report import ScenarioReport, summarize_responses
+from .report import ScenarioReport
 from .scenario import CLOCK_VIRTUAL, Scenario
 
 
@@ -514,40 +514,18 @@ def run_scenario(
         key=lambda outcome: outcome["descriptor"]["global_index"],
     )
     wall_seconds = time.perf_counter() - wall_start
-
-    decided = [o for o in outcomes if o["decision"] is not None]
-    decisions = [o["decision"] for o in decided]
-    counters: dict[str, int] = {}
-    for outcome in outcomes:
-        for name, value in outcome["counters"].items():
-            counters[name] = counters.get(name, 0) + value
-    # The scenario makespan runs from the first arrival to the last
-    # consultation's completion (the fleet reports its maximum shard
-    # clock instead); a wall-clock replay reports its real duration.
+    # ScenarioReport.makespan_seconds documents both drivers' definitions.
     makespan = (
         runtime.last_completion - (runtime.first_arrival or 0.0)
         if runtime.virtual
         else wall_seconds
     )
-    latency, iqr = summarize_responses(
-        runtime.responses, scenario.deadline_seconds
-    )
-    return ScenarioReport(
-        scenario=scenario,
-        n_streams=len(outcomes),
-        n_points=sum(o["n_points"] for o in outcomes),
-        n_consults=len(runtime.responses),
-        decisions=decisions,
-        true_labels=[o["true_label"] for o in decided],
-        latency=latency,
-        iqr_seconds=iqr,
+    return ScenarioReport.from_outcomes(
+        scenario,
+        outcomes,
         makespan_seconds=max(makespan, 0.0),
-        deadline_misses=sum(o["misses"] for o in outcomes),
-        degraded_decisions=sum(1 for d in decisions if d.degraded),
-        breaker_trips=counters.get("serve.breaker_trips", 0),
-        breaker_recoveries=sum(o["breaker_recoveries"] for o in outcomes),
-        counters=counters,
         environment=_environment(wall_seconds),
+        responses=runtime.responses,  # consultation order
     )
 
 

@@ -17,7 +17,7 @@ fails before anything is trained.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -40,6 +40,7 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "bundled_scenarios",
+    "replicate_scenario",
 ]
 
 CLOCK_VIRTUAL = "virtual"
@@ -460,3 +461,20 @@ def resolve_scenario(name_or_path: str | Path) -> Scenario:
     if key in bundled:
         return load_scenario(bundled[key])
     return load_scenario(name_or_path)
+
+
+def replicate_scenario(scenario: Scenario, factor: int) -> Scenario:
+    """Scale a scenario's stream mix by ``factor`` (validated copy)."""
+    if factor < 1:
+        raise ConfigurationError(
+            f"--replicate must be >= 1, got {factor}"
+        )
+    if factor == 1:
+        return scenario
+    return replace(
+        scenario,
+        streams=tuple(
+            replace(spec, count=spec.count * factor)
+            for spec in scenario.streams
+        ),
+    )

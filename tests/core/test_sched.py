@@ -276,7 +276,7 @@ class TestCliFlags:
     def test_fleet_shards_accepts_auto(self, monkeypatch):
         import os
 
-        from repro.fleet.cli import build_parser
+        from repro.slo.cli import build_parser
 
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,7 +1,7 @@
-"""The kernel backend must not leak into serve-fleet reports.
+"""The kernel backend must not leak into fleet reports.
 
-Two guarantees, asserted through the real ``serve-fleet --replicate``
-CLI path (which trains real classifiers and batches fallback consults
+Two guarantees, asserted through the real ``serve-slo --shards 2
+--replicate`` CLI path (which trains real classifiers and batches fallback consults
 through the prefix kernels). The ``naive`` reference is substituted by
 patching ``repro.stats.backends.DEFAULT_BACKEND``; forked shard workers
 inherit the patched value.
@@ -21,7 +21,7 @@ import json
 import pytest
 
 import repro.stats.backends
-from repro.fleet.cli import main as fleet_main
+from repro.slo.cli import main as slo_main
 
 from .test_cli import tiny_scenario_file
 
@@ -36,9 +36,9 @@ def _run_fleet(scenario, tmp_path, tag):
         "--replicate", "2",
         "--output", str(output),
     ]
-    assert fleet_main(argv, out) == 0
+    assert slo_main(argv, out) == 0
     payload = json.loads(output.read_text(encoding="utf-8"))
-    report = payload["fleets"]["cli-tiny"]
+    report = payload["scenarios"]["cli-tiny"]
     # Host/interpreter metadata legitimately varies between runs.
     report.pop("environment")
     return json.dumps(report, sort_keys=True)

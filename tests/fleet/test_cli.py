@@ -1,14 +1,18 @@
-"""The ``etsc-bench serve-fleet`` command: listing, running, exit codes."""
+"""``etsc-bench serve-slo --shards N``: the fleet through the one command."""
 
 import io
 import json
 
 import pytest
 
-from repro.core.cli import main as root_main
 from repro.exceptions import ConfigurationError
-from repro.fleet.cli import main as fleet_main, replicate_scenario
-from repro.slo.scenario import parse_scenario
+from repro.slo.cli import main as slo_main
+from repro.slo.scenario import parse_scenario, replicate_scenario
+
+
+def fleet_main(argv, out):
+    """``serve-slo`` over a two-shard fleet (later flags override)."""
+    return slo_main(["--shards", "2", *argv], out)
 
 
 def tiny_scenario_file(tmp_path, **overrides):
@@ -38,11 +42,6 @@ class TestListing:
         text = out.getvalue()
         for name in ("baseline", "bursty", "faulty", "overload"):
             assert name in text
-
-    def test_root_cli_dispatches_serve_fleet(self):
-        out = io.StringIO()
-        assert root_main(["serve-fleet", "--list"], out) == 0
-        assert "baseline" in out.getvalue()
 
 
 class TestReplication:
@@ -85,8 +84,6 @@ class TestRunning:
             [
                 "--scenario",
                 str(scenario),
-                "--shards",
-                "2",
                 "--tick-events",
                 "16",
                 "--kill-shard",
@@ -103,7 +100,7 @@ class TestRunning:
         assert "cli-tiny" in text
         assert "failover" in text
         payload = json.loads(output.read_text(encoding="utf-8"))
-        report = payload["fleets"]["cli-tiny"]
+        report = payload["scenarios"]["cli-tiny"]
         streams = report["streams"]
         # The chaos contract, as CI asserts it: a SIGKILLed shard run
         # completes with every stream accounted and failover on record.

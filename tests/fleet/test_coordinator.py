@@ -77,11 +77,11 @@ def serve(scenario, config, fault_specs=()):
 
 def assert_accounted(report):
     """Every requested stream reached exactly one terminal outcome."""
-    assert report.n_requested == (
-        report.n_decided
-        + report.n_no_decision
-        + report.n_degraded
-        + report.n_shed
+    assert report.fleet.n_requested == (
+        report.fleet.n_decided
+        + report.fleet.n_no_decision
+        + report.fleet.n_degraded
+        + report.fleet.n_shed
     )
 
 
@@ -98,7 +98,7 @@ class TestDeterminism:
         # SIGKILL mid-replay still reproduces byte-identically.
         first = serve(tiny_scenario(), tiny_config(), ["kill:1@1"])
         second = serve(tiny_scenario(), tiny_config(), ["kill:1@1"])
-        assert first.failovers >= 1
+        assert first.fleet.failovers >= 1
         assert json.dumps(
             first.deterministic_dict(), sort_keys=True
         ) == json.dumps(second.deterministic_dict(), sort_keys=True)
@@ -151,11 +151,11 @@ class TestFailover:
     def test_sigkill_loses_no_streams(self):
         report = serve(tiny_scenario(), tiny_config(), ["kill:1@1"])
         assert_accounted(report)
-        assert report.failovers >= 1
-        assert report.n_shed == 0
+        assert report.fleet.failovers >= 1
+        assert report.fleet.n_shed == 0
         # Every stream still got a real decision on a healthy shard.
-        assert report.n_decided == 6
-        victim = report.shards[1]
+        assert report.fleet.n_decided == 6
+        victim = report.fleet.shards[1]
         assert victim.deaths == 1
         assert victim.generations == 2  # the slot was restarted
 
@@ -166,9 +166,9 @@ class TestFailover:
             ["hang:0@1"],
         )
         assert_accounted(report)
-        assert report.failovers >= 1
-        assert report.n_decided == 6
-        assert report.shards[0].deaths == 1
+        assert report.fleet.failovers >= 1
+        assert report.fleet.n_decided == 6
+        assert report.fleet.shards[0].deaths == 1
 
     def test_exhausted_failover_limit_degrades_instead_of_retrying(self):
         # Kill the only slot on alternating ticks (faults fire before
@@ -182,10 +182,12 @@ class TestFailover:
             ["kill:0@1", "kill:0@3"],
         )
         assert_accounted(report)
-        assert report.n_shed == 0
-        assert report.n_degraded > 0
-        assert report.batched_consults >= 1
-        assert report.counters["fleet.stream_failovers"] >= report.failovers
+        assert report.fleet.n_shed == 0
+        assert report.fleet.n_degraded > 0
+        assert report.fleet.batched_consults >= 1
+        assert (
+            report.counters["fleet.stream_failovers"] >= report.fleet.failovers
+        )
 
     def test_fault_plan_must_name_an_existing_shard(self):
         with pytest.raises(ConfigurationError):
@@ -199,10 +201,10 @@ class TestShedding:
             tiny_config(admission_capacity=4, shed_policy=SHED_REJECT_NEW),
         )
         assert_accounted(report)
-        assert report.n_shed == 2
-        assert report.n_decided == 4
-        assert report.n_admitted == 4
-        assert report.shed_rate == pytest.approx(2 / 6)
+        assert report.fleet.n_shed == 2
+        assert report.fleet.n_decided == 4
+        assert report.fleet.n_admitted == 4
+        assert report.fleet.shed_rate == pytest.approx(2 / 6)
 
     def test_shed_oldest_evicts_the_head_of_the_backlog(self):
         report = serve(
@@ -210,10 +212,10 @@ class TestShedding:
             tiny_config(admission_capacity=4, shed_policy=SHED_OLDEST),
         )
         assert_accounted(report)
-        assert report.n_shed == 2
-        assert report.n_decided == 4
+        assert report.fleet.n_shed == 2
+        assert report.fleet.n_decided == 4
         # Unlike reject-new, the *newcomers* were admitted.
-        assert report.n_admitted == 6
+        assert report.fleet.n_admitted == 6
 
     def test_degrade_policy_answers_overflow_from_the_batched_fallback(self):
         report = serve(
@@ -221,10 +223,10 @@ class TestShedding:
             tiny_config(admission_capacity=4, shed_policy=SHED_DEGRADE),
         )
         assert_accounted(report)
-        assert report.n_shed == 0
-        assert report.n_degraded == 2
-        assert report.n_decided == 4
-        assert report.batched_consults >= 1
+        assert report.fleet.n_shed == 0
+        assert report.fleet.n_degraded == 2
+        assert report.fleet.n_decided == 4
+        assert report.fleet.batched_consults >= 1
         degraded = [d for d in report.decisions if d.degraded]
         assert len(degraded) == 2
         assert all(d.source == "fallback" for d in degraded)
@@ -238,10 +240,10 @@ class TestShedding:
             tiny_config(admission_capacity=5, shed_policy=SHED_DEGRADE),
         )
         assert_accounted(report)
-        assert report.n_shed == 0
-        assert report.n_degraded == 1
-        assert report.n_decided == 5
-        assert report.batched_consults >= 1
+        assert report.fleet.n_shed == 0
+        assert report.fleet.n_degraded == 1
+        assert report.fleet.n_decided == 5
+        assert report.fleet.batched_consults >= 1
 
     def test_degrade_without_a_fallback_sheds_explicitly(self):
         # No fallback configured: degradation is impossible, and the
@@ -251,8 +253,8 @@ class TestShedding:
             tiny_config(admission_capacity=4, shed_policy=SHED_DEGRADE),
         )
         assert_accounted(report)
-        assert report.n_degraded == 0
-        assert report.n_shed == 2
+        assert report.fleet.n_degraded == 0
+        assert report.fleet.n_shed == 2
 
 
 class TestTraceRollup:
@@ -268,8 +270,8 @@ class TestTraceRollup:
                 ["kill:1@1"],
             )
         snapshot = metrics_from_spans(tracer.finished_spans()).snapshot()
-        assert report.failovers >= 1
-        assert report.n_degraded > 0
+        assert report.fleet.failovers >= 1
+        assert report.fleet.n_degraded > 0
         for key in (
             "fleet.requested",
             "fleet.admitted",

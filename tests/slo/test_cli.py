@@ -110,6 +110,33 @@ class TestRunning:
         assert {"stream", "push"} <= names
 
 
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    def test_corrupt_and_replicate_work_with_and_without_shards(
+        self, tmp_path, shards
+    ):
+        scenario = tiny_scenario_file(tmp_path)
+        output = tmp_path / "reports.json"
+        out = io.StringIO()
+        code = slo_main(
+            [
+                "--scenario", str(scenario),
+                "--shards", shards,
+                "--corrupt", "missing_blocks:3",
+                "--replicate", "2",
+                "--output", str(output),
+            ],
+            out,
+        )
+        assert code == 0
+        assert "corruption" in out.getvalue()
+        report = json.loads(output.read_text(encoding="utf-8"))[
+            "scenarios"
+        ]["cli-tiny"]
+        assert report["scenario"]["n_streams"] == 4
+        assert report["counters"]["serve.corrupted_points"] > 0
+        assert ("fleet" in report) == (shards != "0")
+
+
 class TestExitCodes:
     def test_unknown_scenario_is_a_config_error(self):
         out = io.StringIO()
@@ -154,6 +181,25 @@ class TestExitCodes:
         text = out.getvalue()
         assert "error: unknown algorithm name(s): ORACLE" in text
         assert "(registered: ECEC, " in text
+        assert trained == []
+
+    @pytest.mark.parametrize("flag", ["--kill-shard", "--hang-shard"])
+    def test_shard_faults_without_shards_are_a_config_error(
+        self, tmp_path, monkeypatch, flag
+    ):
+        trained = []
+        monkeypatch.setattr(
+            "repro.slo.harness.wrap_for_dataset",
+            lambda factory, train: trained.append(train),
+        )
+        scenario = tiny_scenario_file(tmp_path)
+        out = io.StringIO()
+        code = slo_main(["--scenario", str(scenario), flag, "0@1"], out)
+        assert code == 2
+        assert (
+            "names shard 0 but the fleet has only 0 shard(s)"
+            in out.getvalue()
+        )
         assert trained == []
 
     def test_unknown_key_error_is_actionable(self, tmp_path):

@@ -169,6 +169,22 @@ class TestCorruptCliFlag:
         counters = payload["scenarios"]["cli-tiny"]["counters"]
         assert counters["serve.corrupted_points"] > 0
 
+    def test_corruption_seed_without_corrupt_is_a_usage_error(
+        self, tmp_path
+    ):
+        out = io.StringIO()
+        code = slo_main(
+            [
+                "--scenario", str(tiny_scenario_file(tmp_path)),
+                "--corruption-seed", "7",
+            ],
+            out,
+        )
+        assert code == 2
+        text = out.getvalue()
+        assert "--corruption-seed" in text and "--corrupt " in text
+        assert "scenario 'cli-tiny'" not in text
+
     def test_malformed_corrupt_spec_is_a_usage_error(self, tmp_path):
         out = io.StringIO()
         code = slo_main(

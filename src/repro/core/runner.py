@@ -69,7 +69,7 @@ from ..data.dataset import TimeSeriesDataset
 from ..exceptions import CheckpointError, ConfigurationError, ReproError
 from ..obs.events import span_to_record
 from ..obs.logging import GridProgress, get_logger
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, emit
 from ..obs.trace import Tracer, get_tracer, use_tracer
 from .categorization import (
     DatasetCategories,
@@ -824,7 +824,6 @@ class BenchmarkRunner:
             return
         if dataset_name not in grid.report.categories:
             self._commit_dataset(grid, dataset_name, dataset)
-        self.metrics.counter("cells_total").inc()
         grid.telemetry.started(algorithm_name, dataset_name)
         outcome = None
         if future is not None:
@@ -847,7 +846,19 @@ class BenchmarkRunner:
             )
         self._commit_outcome(grid, outcome)
         if plan.estimates is not None:
-            self._record_sched(grid, outcome, plan.estimates[key], plan.stolen)
+            estimate = plan.estimates[key]
+            emit(
+                self.metrics,
+                "sched_cell",
+                algorithm=algorithm_name,
+                dataset=dataset_name,
+                estimate_seconds=estimate.seconds,
+                actual_seconds=outcome.elapsed,
+                error_pct=abs(outcome.elapsed - estimate.seconds)
+                / max(estimate.seconds, 1e-9) * 100.0,
+                source=estimate.source,
+                stolen=plan.stolen,
+            )
 
     def _load(self, grid: _Grid, dataset_name: str) -> None:
         """Load a dataset under crash isolation and the retry policy.
@@ -879,12 +890,12 @@ class BenchmarkRunner:
                         error=reason,
                     )
                     if policy.should_retry(error, attempt):
-                        self.metrics.counter("load_retries").inc()
                         delay = policy.wait(
                             attempt, key=f"load:{dataset_name}"
                         )
-                        span.add_event(
-                            "retry", attempt=attempt, delay=delay
+                        emit(
+                            self.metrics, "load_retry",
+                            attempt=attempt, delay=delay,
                         )
                         _logger.warning(
                             "load %s: transient failure (%s), retrying "
@@ -900,7 +911,7 @@ class BenchmarkRunner:
                     span.set_attribute(
                         "traceback", format_traceback(error)
                     )
-                    self.metrics.counter("datasets_failed").inc()
+                    emit(self.metrics, "load_failed", dataset=dataset_name)
                     grid.load_failures[dataset_name] = (reason, kind, attempt)
                     return
 
@@ -926,8 +937,11 @@ class BenchmarkRunner:
         algorithm_name, dataset_name = key
         reason, kind, attempts = grid.load_failures[dataset_name]
         cell_reason = f"dataset load failed: {reason}"
-        self.metrics.counter("cells_total").inc()
-        self.metrics.counter("cells_failed").inc()
+        emit(
+            self.metrics, "cell_committed",
+            algorithm=algorithm_name, dataset=dataset_name,
+            status="failed", seconds=0.0,
+        )
         grid.report.failures[key] = cell_reason
         if grid.checkpoint is not None:
             grid.checkpoint.write_failure(
@@ -1050,15 +1064,24 @@ class BenchmarkRunner:
         self.cost_model.record(
             algorithm_name, dataset_name, outcome.elapsed
         )
-        if outcome.retries:
-            self.metrics.counter("cell_retries").inc(outcome.retries)
         result = outcome.result
+        timeout = outcome.kind == TIMEOUT
+        emit(
+            self.metrics, "cell_committed",
+            algorithm=algorithm_name, dataset=dataset_name,
+            status=(
+                "completed" if result is not None
+                else "timeout" if timeout else "failed"
+            ),
+            seconds=outcome.elapsed,
+            retries=outcome.retries,
+            predictions=(
+                sum(fold.n_test for fold in result.folds)
+                if result is not None else 0
+            ),
+        )
         if result is None:
             assert outcome.reason is not None and outcome.kind is not None
-            timeout = outcome.kind == TIMEOUT
-            self.metrics.counter(
-                "cells_timeout" if timeout else "cells_failed"
-            ).inc()
             report.failures[(algorithm_name, dataset_name)] = outcome.reason
             if checkpoint is not None:
                 checkpoint.write_failure(
@@ -1083,8 +1106,6 @@ class BenchmarkRunner:
                 wall_seconds=outcome.elapsed,
                 cpu_seconds=outcome.cpu_seconds,
             )
-        self.metrics.counter("cells_completed").inc()
-        self.metrics.timer("cell_seconds").observe(outcome.elapsed)
         detail = f"acc={result.accuracy:.3f} hm={result.harmonic_mean:.3f}"
         grid.telemetry.finished(
             algorithm_name, dataset_name, outcome.elapsed, detail
@@ -1094,38 +1115,4 @@ class BenchmarkRunner:
             f"acc={result.accuracy:.3f} f1={result.f1:.3f} "
             f"earl={result.earliness:.3f} hm={result.harmonic_mean:.3f} "
             f"({outcome.elapsed:.1f}s)"
-        )
-
-    def _record_sched(
-        self,
-        grid: _Grid,
-        outcome: _CellOutcome,
-        estimate: CellEstimate,
-        stolen: bool,
-    ) -> None:
-        """Scheduler telemetry for one committed cell.
-
-        The live ``sched.*`` counters and the ``sched_cell`` grid-span
-        event are written together so :func:`repro.obs.metrics
-        .metrics_from_spans` recomputes exactly the live numbers from a
-        trace (the rollup==live parity contract).
-        """
-        error_pct = (
-            abs(outcome.elapsed - estimate.seconds)
-            / max(estimate.seconds, 1e-9)
-            * 100.0
-        )
-        self.metrics.counter("sched.cells_scheduled").inc()
-        if stolen:
-            self.metrics.counter("sched.steals").inc()
-        self.metrics.timer("sched.estimate_error_pct").observe(error_pct)
-        grid.span.add_event(
-            "sched_cell",
-            algorithm=outcome.algorithm,
-            dataset=outcome.dataset,
-            estimate_seconds=estimate.seconds,
-            actual_seconds=outcome.elapsed,
-            error_pct=error_pct,
-            source=estimate.source,
-            stolen=stolen,
         )

@@ -26,8 +26,7 @@ any single session's guard/deadline/breaker/fallback stack:
 same :class:`~repro.slo.report.ScenarioReport` as the in-process
 replay, with a fleet section on top: per-shard latency quantiles to
 p99.9, shed/degraded/failover rates, and ``fleet.*`` counters
-recomputable from a trace via
-:func:`repro.obs.metrics.metrics_from_spans` (``docs/serving.md``).
+(``docs/serving.md``).
 """
 
 from ..slo.harness import ShardRuntime, StreamDescriptor

@@ -51,7 +51,6 @@ plans record which directives already fired.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,7 @@ from ..core.pool import WorkerDied, fork_available, spawn_worker
 from ..core.streaming import LatencySummary, StreamingDecision
 from ..exceptions import ConfigurationError, ReproError
 from ..obs.logging import get_logger
+from ..obs.metrics import MetricsRegistry, emit
 from ..obs.trace import get_tracer
 from ..slo.harness import (
     ShardRuntime,
@@ -68,7 +68,12 @@ from ..slo.harness import (
     scenario_streams,
     train_scenario_bundles,
 )
-from ..slo.report import FleetSection, ScenarioReport, ShardSummary
+from ..slo.report import (
+    FLEET_COUNTERS,
+    FleetSection,
+    ScenarioReport,
+    ShardSummary,
+)
 from ..slo.scenario import CLOCK_VIRTUAL, Scenario
 from .admission import ADMITTED, DEGRADED, SHED, AdmissionQueue
 from .config import FleetConfig
@@ -162,7 +167,6 @@ class _StreamState:
     shard: int | None = None
     shed_reason: str | None = None
     result: dict | None = None
-    batched: bool = False
 
 
 def run_fleet(
@@ -231,7 +235,6 @@ def run_fleet(
     for slot in slots:
         slot.start(scenario, bundles)
 
-    failovers = 0
     death_events: list[tuple[int, int]] = []  # (tick, shard)
     batched_consults = 0
     tick = 0
@@ -307,7 +310,6 @@ def run_fleet(
             ):
                 state = streams[descriptor.global_index]
                 state.outcome = OUTCOME_DEGRADED
-                state.batched = True
                 state.result = {
                     "descriptor": descriptor.as_dict(),
                     "name": f"{key[1]}[{instance}]@{key[0]}",
@@ -392,7 +394,6 @@ def run_fleet(
                 if not slot.dead:
                     continue
                 slot.deaths += 1
-                failovers += 1
                 death_events.append((tick, slot.index))
                 victims = sorted(slot.assigned)
                 _logger.warning(
@@ -435,50 +436,39 @@ def run_fleet(
                 pass
 
     # -- commitment: aggregate in global_index order ---------------------
-    tracer = get_tracer()
-    tally: Counter[str] = Counter()
+    # The fleet.* counts are read back from the registry the commit
+    # events fed.
+    metrics = MetricsRegistry()
     results: list[dict] = []
-    for g in range(n_requested):
-        state = streams[g]
-        if state.outcome is None:  # pragma: no cover - loop invariant
-            raise ReproError(f"stream {g} fell through the fleet unaccounted")
-        tally[state.outcome] += 1
-        result = state.result
-        if result is not None:
-            results.append(result)
-        with tracer.span(
-            "fleet_stream",
-            stream=g,
-            stream_name=result["name"] if result else None,
-        ) as span:
-            span.set_attribute("fleet.outcome", state.outcome)
-            span.set_attribute("fleet.admitted", state.admitted)
-            span.set_attribute("fleet.failovers", state.failovers)
-            span.set_attribute("fleet.batched", state.batched)
-            if state.shard is not None:
-                span.set_attribute("fleet.shard", state.shard)
-    for _ in range(batched_consults):
-        with tracer.span("fleet_batch"):
-            pass
-    for death_tick, shard_index in death_events:
-        with tracer.span(
-            "fleet_failover", shard=shard_index, tick=death_tick
-        ):
-            pass
-
+    with get_tracer().span("fleet_commit", n_requested=n_requested):
+        for g in range(n_requested):
+            state = streams[g]
+            if state.outcome is None:  # pragma: no cover - loop invariant
+                raise ReproError(
+                    f"stream {g} fell through the fleet unaccounted"
+                )
+            result = state.result
+            if result is not None:
+                results.append(result)
+            emit(
+                metrics, "fleet_stream", stream=g, outcome=state.outcome,
+                admitted=state.admitted, failovers=state.failovers,
+                shard=state.shard,
+                stream_name=result["name"] if result else None,
+            )
+        for _ in range(batched_consults):
+            emit(metrics, "fleet_batch")
+        for death_tick, shard_index in death_events:
+            emit(metrics, "fleet_failover", shard=shard_index, tick=death_tick)
+    counts = metrics.snapshot()
     deadline = scenario.deadline_seconds
     fleet = FleetSection(
         config=config,
         ticks=tick,
-        n_requested=n_requested,
-        n_admitted=queue.n_admitted,
-        n_decided=tally[OUTCOME_DECIDED],
-        n_no_decision=tally[OUTCOME_NO_DECISION],
-        n_degraded=tally[OUTCOME_DEGRADED],
-        n_shed=tally[OUTCOME_SHED],
-        failovers=failovers,
-        stream_failovers=sum(state.failovers for state in streams.values()),
-        batched_consults=batched_consults,
+        **{
+            field: counts.get(name, 0)
+            for field, name in FLEET_COUNTERS.items()
+        },
         shards=[
             ShardSummary(
                 shard=slot.index,

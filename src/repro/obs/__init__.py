@@ -14,7 +14,8 @@ dependency-free instrumentation layer behind that record:
     run's trace can be dumped to disk and re-loaded for analysis.
 ``metrics``
     Counters, gauges, and timer histograms (cells completed, timeouts,
-    push-latency quantiles) plus a text ``summarize()`` report.
+    consult latencies) fed by ``emit()`` through one counter table, plus
+    a text ``summarize()`` report.
 ``logging``
     Stdlib ``logging`` setup for the ``repro`` namespace (``NullHandler``
     on the root, one-time warnings, per-cell grid progress lines).
@@ -39,6 +40,7 @@ from .metrics import (
     Gauge,
     MetricsRegistry,
     TimerHistogram,
+    emit,
     metrics_from_spans,
 )
 from .trace import (
@@ -71,6 +73,7 @@ __all__ = [
     "Gauge",
     "TimerHistogram",
     "MetricsRegistry",
+    "emit",
     "metrics_from_spans",
     "configure_logging",
     "get_logger",

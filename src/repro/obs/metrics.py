@@ -1,29 +1,37 @@
 """Counters, gauges, and timer histograms for grid runs.
 
 The quantities the paper's comparison turns on — cells completed, cells
-killed by the time budget, predictions emitted, push-latency quantiles —
+killed by the time budget, predictions emitted, consult latencies —
 are aggregated here. A :class:`MetricsRegistry` is cheap to create, safe
 to update from several threads, and renders a plain-text report via
 :meth:`MetricsRegistry.summarize`.
 
-:func:`metrics_from_spans` rebuilds a registry from a persisted trace
-(see :mod:`repro.obs.events`), which is how ``python -m repro.obs.summary``
-recomputes a run's statistics after the fact.
+Program code never writes a counter or timer directly: it calls
+:func:`emit`, which updates a live registry through the one counter
+table :data:`EVENT_METRICS` and appends the same event to the current
+span. :func:`metrics_from_spans` rebuilds a registry from a persisted
+trace (see :mod:`repro.obs.events`) by applying that table to every
+recorded event, which is how ``python -m repro.obs.summary`` recomputes
+a run's statistics after the fact.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ..exceptions import ReproError
+from .trace import current_span
 
 __all__ = [
     "Counter",
     "Gauge",
     "TimerHistogram",
     "MetricsRegistry",
+    "EVENT_METRICS",
+    "TIMERS",
+    "emit",
     "metrics_from_spans",
 ]
 
@@ -99,11 +107,6 @@ class TimerHistogram:
     @property
     def count(self) -> int:
         return len(self._values)
-
-    @property
-    def total(self) -> float:
-        with self._lock:
-            return math.fsum(self._values)
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile, ``0 <= q <= 1``."""
@@ -182,6 +185,17 @@ class MetricsRegistry:
         """Get or create the timer histogram called ``name``."""
         return self._get_or_create(name, TimerHistogram)
 
+    def record(self, event: str, attributes: dict) -> None:
+        """Apply one event's :data:`EVENT_METRICS` entry, if it has one."""
+        rule = EVENT_METRICS.get(event)
+        if rule is None:
+            return
+        for name, value in rule(attributes).items():
+            if name in TIMERS:
+                self.timer(name).observe(value)
+            elif value:
+                self.counter(name).inc(int(value))
+
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view: counters/gauges as numbers, timers as
@@ -231,12 +245,100 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
+# ----------------------------------------------------------------------
+# The counter table: what each emitted event means to the metrics.
+
+
+def _count(counter: str):
+    return lambda attributes: {counter: 1}
+
+
+def _cell_committed(attributes: dict) -> dict[str, Any]:
+    status = attributes["status"]  # completed / timeout / failed
+    values = {
+        "cells_total": 1,
+        f"cells_{status}": 1,
+        "cell_retries": attributes.get("retries", 0),
+        "predictions_emitted": attributes.get("predictions", 0),
+    }
+    if status == "completed":
+        values["cell_seconds"] = attributes["seconds"]
+    return values
+
+
+def _corrupted_push(attributes: dict) -> dict[str, Any]:
+    values = {"serve.corrupted_points": 1}
+    for op in filter(None, str(attributes.get("ops", "")).split(",")):
+        name = f"serve.corruption.{op}"
+        values[name] = values.get(name, 0) + 1
+    return values
+
+
+#: Event name -> ``attributes -> {instrument: value}``. Names in
+#: :data:`TIMERS` observe ``value``; every other name is a counter that
+#: ``value`` increments (a zero or false value creates nothing).
+EVENT_METRICS: dict[str, Callable[[dict], dict[str, Any]]] = {
+    # Grid runner (repro.core.runner); the parent emits all of them.
+    "cell_committed": _cell_committed,
+    "load_retry": _count("load_retries"),
+    "load_failed": _count("datasets_failed"),
+    "sched_cell": lambda a: {
+        "sched.cells_scheduled": 1,
+        "sched.steals": a.get("stolen", False),
+        "sched.estimate_error_pct": a["error_pct"],
+    },
+    # Guarded streaming sessions (repro.serve.session).
+    "rejected_point": _count("serve.rejected_points"),
+    "sanitized_point": _count("serve.sanitized_points"),
+    "corrupted_push": _corrupted_push,
+    "fallback_consult": _count("serve.fallback_consults"),
+    "degraded_decision": _count("serve.degraded_decisions"),
+    "breaker_transition": lambda a: {
+        "serve.breaker_trips": a.get("to_state") == "open"
+    },
+    "consult_failed": lambda a: {
+        "serve.consult_timeouts"
+        if a.get("kind") == "timeout"
+        else "serve.consult_failures": 1
+    },
+    # Scenario replays (repro.slo.harness), trace only.
+    "slo_consult": lambda a: {
+        "slo.response_seconds": a["response_seconds"],
+        "slo.deadline_misses": a.get("deadline_missed", False),
+    },
+    # Fleet commitment (repro.fleet.coordinator).
+    "fleet_stream": lambda a: {
+        "fleet.requested": 1,
+        f"fleet.{a['outcome']}": 1,
+        "fleet.admitted": a.get("admitted", False),
+        "fleet.stream_failovers": a.get("failovers", 0),
+    },
+    "fleet_batch": _count("fleet.batched_consults"),
+    "fleet_failover": _count("fleet.failovers"),
+}
+
+#: The table's instruments that are timer histograms.
+TIMERS = frozenset(
+    {"cell_seconds", "sched.estimate_error_pct", "slo.response_seconds"}
+)
+
+
+def emit(
+    registry: MetricsRegistry | None, name: str, **attributes: Any
+) -> None:
+    """Count event ``name`` in ``registry`` (unless ``None``) through
+    :data:`EVENT_METRICS`, and append it to the innermost open span."""
+    if registry is not None:
+        registry.record(name, attributes)
+    current_span().add_event(name, **attributes)
+
+
 def metrics_from_spans(spans: Iterable[Any]) -> MetricsRegistry:
     """Aggregate a span stream (live ``Span`` or loaded ``SpanRecord``).
 
-    Produces, per span name, a ``span.<name>.seconds`` timer, and the run
-    counters the acceptance questions ask about: how many cells ran, how
-    many timed out, how many errored, how many predictions were emitted.
+    Per span name: ``span.<name>.count``, a ``span.<name>.seconds`` timer
+    and a ``span.<name>.<status>`` counter per non-``ok`` status; then
+    every recorded event through :data:`EVENT_METRICS`, as :func:`emit`.
     """
     registry = MetricsRegistry()
     for span in spans:
@@ -244,119 +346,6 @@ def metrics_from_spans(spans: Iterable[Any]) -> MetricsRegistry:
         registry.timer(f"span.{span.name}.seconds").observe(span.duration)
         if span.status != "ok":
             registry.counter(f"span.{span.name}.{span.status}").inc()
-        if span.name == "cell":
-            registry.counter("cells_total").inc()
-            if span.status == "ok":
-                registry.counter("cells_completed").inc()
-            elif span.status == "timeout":
-                registry.counter("cells_timeout").inc()
-            else:
-                registry.counter("cells_failed").inc()
-        elif span.name == "predict":
-            emitted = span.attributes.get("n_test")
-            if emitted is not None:
-                registry.counter("predictions_emitted").inc(int(emitted))
-        elif span.name == "push":
-            registry.timer("push_latency_seconds").observe(span.duration)
-            # Serving-layer pushes annotate degraded consultations and
-            # breaker transitions (see repro.serve); roll them up so a
-            # trace file alone answers the resilience questions. The
-            # scenario replay runtime (repro.slo.harness.ShardRuntime)
-            # additionally stamps each consultation's response time and
-            # deadline verdict on the push span, so a scenario report's
-            # SLO numbers are recomputable from the trace alone.
-            # Only decision-committing spans count: a breaker-open skip
-            # mid-stream also stamps source="fallback" on its push span,
-            # but the live serve.degraded_decisions counter increments
-            # per committed degraded *decision*, and the rollup must
-            # agree with it exactly.
-            if (
-                span.attributes.get("decided")
-                and span.attributes.get("source") == "fallback"
-            ):
-                registry.counter("serve.degraded_decisions").inc()
-            response = span.attributes.get("slo.response_seconds")
-            if response is not None:
-                registry.timer("slo.response_seconds").observe(
-                    float(response)
-                )
-            if span.attributes.get("slo.deadline_missed"):
-                registry.counter("slo.deadline_misses").inc()
-        elif span.name == "fleet_stream":
-            # The fleet coordinator emits one fleet_stream span per
-            # requested stream at commit time, attributed with the
-            # stream's final accounting outcome — so the fleet.* rollup
-            # from a trace matches the report's live fleet.* counters
-            # exactly (the contract the slo.* rollup established).
-            registry.counter("fleet.requested").inc()
-            outcome = span.attributes.get("fleet.outcome")
-            if outcome in ("decided", "no_decision", "degraded", "shed"):
-                registry.counter(f"fleet.{outcome}").inc()
-            if span.attributes.get("fleet.admitted"):
-                registry.counter("fleet.admitted").inc()
-            failovers = int(span.attributes.get("fleet.failovers", 0) or 0)
-            if failovers:
-                registry.counter("fleet.stream_failovers").inc(failovers)
-        elif span.name == "fleet_batch":
-            # One span per batched fallback consultation (a whole group
-            # of degraded streams answered through the all-pairs prefix
-            # kernels in a single call).
-            registry.counter("fleet.batched_consults").inc()
-        elif span.name == "fleet_failover":
-            # One span per shard-death event (SIGKILL, crash, or hang
-            # caught by the heartbeat), regardless of how many in-flight
-            # streams it displaced — those are fleet.stream_failovers.
-            registry.counter("fleet.failovers").inc()
-        # Serving-layer events are not tied to one span kind: breaker and
-        # consult failures annotate push spans, while corruption fires
-        # before the push span opens and lands on the enclosing stream
-        # span — so scan every span's events.
-        for event in getattr(span, "events", ()) or ():
-            name = (
-                event.get("name")
-                if isinstance(event, dict)
-                else getattr(event, "name", None)
-            )
-            attrs = (
-                event.get("attributes", {})
-                if isinstance(event, dict)
-                else getattr(event, "attributes", {})
-            )
-            if (
-                name == "breaker_transition"
-                and attrs.get("to_state") == "open"
-            ):
-                registry.counter("serve.breaker_trips").inc()
-            elif name == "consult_failed":
-                # Mirror the live session's split: timeouts land in
-                # serve.consult_timeouts, everything else in
-                # serve.consult_failures — a replayed trace must
-                # reproduce the live counters exactly.
-                if attrs.get("kind") == "timeout":
-                    registry.counter("serve.consult_timeouts").inc()
-                else:
-                    registry.counter("serve.consult_failures").inc()
-            elif name == "sched_cell":
-                # The grid scheduler stamps one sched_cell event per
-                # dispatched cell on the grid span, mirroring the live
-                # sched.* instruments exactly (repro.core.sched) — the
-                # rollup==live parity contract the serve/fleet counters
-                # follow.
-                registry.counter("sched.cells_scheduled").inc()
-                if attrs.get("stolen"):
-                    registry.counter("sched.steals").inc()
-                error_pct = attrs.get("error_pct")
-                if error_pct is not None:
-                    registry.timer("sched.estimate_error_pct").observe(
-                        float(error_pct)
-                    )
-            elif name == "corrupted_push":
-                # One event per corrupted point, its ``ops`` attribute the
-                # comma-joined operators that fired — mirroring the live
-                # serve.corrupted_points / serve.corruption.<op> counters
-                # (repro.robustness stream corruption).
-                registry.counter("serve.corrupted_points").inc()
-                for op in str(attrs.get("ops", "")).split(","):
-                    if op:
-                        registry.counter(f"serve.corruption.{op}").inc()
+        for event in span.events or ():
+            registry.record(event["name"], event.get("attributes") or {})
     return registry

@@ -26,12 +26,13 @@ With no faults, no deadline, and clean input, the session's decisions
 are identical to the plain ``StreamingSession``'s — resilience is free
 until something actually goes wrong.
 
-Everything is observable: rejections, sanitizations, degraded decisions,
-breaker trips, and consult failures land in the session's
-:class:`~repro.obs.metrics.MetricsRegistry` under ``serve.*`` counters,
-breaker transitions and consult failures are span events on the ``push``
-spans, and stream-level anomaly totals are reported through one counted
-``repro.serve`` warning per stream.
+Everything is observable: each rejection, sanitization, corruption,
+fallback consultation, degraded decision, breaker transition and consult
+failure is one :func:`~repro.obs.metrics.emit` call, which counts it in
+the session's :class:`~repro.obs.metrics.MetricsRegistry` under
+``serve.*`` and records it as an event on the current span; stream-level
+anomaly totals are reported through one counted ``repro.serve`` warning
+per stream.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from ..core.timeouts import time_limit
 from ..data.dataset import TimeSeriesDataset
 from ..exceptions import ConfigurationError, DataError
 from ..obs.logging import get_logger
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, emit
 from ..obs.trace import current_span
 from .breaker import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from .chaos import STAGE_CONSULT, STAGE_PUSH
@@ -269,14 +270,11 @@ class GuardedStreamingSession(StreamingSession):
     def _on_breaker_transition(
         self, old_state: str, new_state: str, reason: str
     ) -> None:
-        current_span().add_event(
-            "breaker_transition",
-            from_state=old_state,
-            to_state=new_state,
-            reason=reason,
+        emit(
+            self.metrics, "breaker_transition",
+            from_state=old_state, to_state=new_state, reason=reason,
         )
         if new_state == BREAKER_OPEN:
-            self.metrics.counter("serve.breaker_trips").inc()
             _logger.warning(
                 "%s on %s: circuit breaker tripped open (%s)",
                 self.algorithm_name, self.stream_name, reason,
@@ -288,17 +286,14 @@ class GuardedStreamingSession(StreamingSession):
             )
 
     def _note_rejected(self, reason: str) -> None:
-        self.metrics.counter("serve.rejected_points").inc()
+        emit(self.metrics, "rejected_point", reason=reason)
         self.rejection_reasons.append(reason)
 
     def _note_corrupted(self, index: int, ops: list[str]) -> None:
-        self.metrics.counter("serve.corrupted_points").inc()
-        for op in ops:
-            self.metrics.counter(f"serve.corruption.{op}").inc()
-            self.corruption_events.append((index, op))
-        current_span().add_event(
-            "corrupted_push", push_index=index, ops=",".join(ops)
+        emit(
+            self.metrics, "corrupted_push", push_index=index, ops=",".join(ops)
         )
+        self.corruption_events.extend((index, op) for op in ops)
 
     # ------------------------------------------------------------------
     def push(self, point: np.ndarray | float) -> StreamingDecision | None:
@@ -343,7 +338,7 @@ class GuardedStreamingSession(StreamingSession):
                 self._end_of_stream()
             return self._decision
         if outcome.repaired:
-            self.metrics.counter("serve.sanitized_points").inc()
+            emit(self.metrics, "sanitized_point", push_index=index)
         self._buffer.append(outcome.point)
         if self._decision is not None:
             return self._decision
@@ -395,7 +390,7 @@ class GuardedStreamingSession(StreamingSession):
 
     # ------------------------------------------------------------------
     def _fallback_prediction(self, values: np.ndarray) -> EarlyPrediction:
-        self.metrics.counter("serve.fallback_consults").inc()
+        emit(self.metrics, "fallback_consult", push_index=self._pushes)
         return self._fallback_stream.consult(values, self.series_length)
 
     def _predict_prefix(self, values: np.ndarray) -> EarlyPrediction:
@@ -425,10 +420,10 @@ class GuardedStreamingSession(StreamingSession):
 
     def _consult_guarded(self, values: np.ndarray) -> EarlyPrediction:
         """One consultation under chaos, deadline, breaker, and fallback."""
-        span = current_span()
         note = self._consult_note
         if self.breaker is not None and not self.breaker.allow_request():
             note["breaker_open"] = True
+            span = current_span()
             span.set_attribute("breaker", self.breaker.state)
             span.set_attribute("source", "fallback")
             return self._fallback_prediction(values)
@@ -458,12 +453,7 @@ class GuardedStreamingSession(StreamingSession):
             note["failure_kind"] = kind
             if kind == TIMEOUT:
                 note["deadline_missed"] = True
-            span.add_event("consult_failed", kind=kind, error=reason)
-            self.metrics.counter(
-                "serve.consult_timeouts"
-                if kind == TIMEOUT
-                else "serve.consult_failures"
-            ).inc()
+            emit(self.metrics, "consult_failed", kind=kind, error=reason)
             if self.breaker is not None:
                 self.breaker.record_failure(reason)
             if self.fallback is None:
@@ -480,15 +470,11 @@ class GuardedStreamingSession(StreamingSession):
             # stream moved on, so it is discarded for the fallback's.
             note["failure_kind"] = TIMEOUT
             note["deadline_missed"] = True
-            span.add_event(
-                "consult_failed",
-                kind=TIMEOUT,
-                error=(
-                    f"consultation took {elapsed:.4f}s, deadline "
-                    f"{self.deadline_seconds:.4f}s (cooperative check)"
-                ),
+            emit(
+                self.metrics, "consult_failed", kind=TIMEOUT,
+                error=f"consultation took {elapsed:.4f}s, deadline "
+                f"{self.deadline_seconds:.4f}s (cooperative check)",
             )
-            self.metrics.counter("serve.consult_timeouts").inc()
             if self.breaker is not None:
                 self.breaker.record_failure("deadline exceeded")
             if self.fallback is not None:
@@ -506,4 +492,4 @@ class GuardedStreamingSession(StreamingSession):
             and self._decision is not None
             and self._decision.degraded
         ):
-            self.metrics.counter("serve.degraded_decisions").inc()
+            emit(self.metrics, "degraded_decision", at=self.n_observed)

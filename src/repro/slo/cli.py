@@ -37,6 +37,18 @@ from .scenario import (
 
 __all__ = ["main", "build_parser"]
 
+#: Fleet-only flags -> the :class:`FleetConfig` field each sets. They
+#: default to None (``FleetConfig`` holds the defaults), so one given
+#: without ``--shards N >= 1`` can be rejected.
+_FLEET_FLAGS = {
+    "--max-active": "max_active_per_shard",
+    "--admission-capacity": "admission_capacity",
+    "--policy": "shed_policy",
+    "--tick-events": "tick_events",
+    "--heartbeat-timeout": "heartbeat_timeout_seconds",
+    "--failover-limit": "failover_limit",
+}
+
 
 def _shards_argument(text: str) -> int:
     """``--shards`` accepts a non-negative integer or the literal ``auto``.
@@ -125,32 +137,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     fleet.add_argument(
-        "--max-active", type=int, default=64, metavar="N",
+        "--max-active", dest="max_active_per_shard", type=int, metavar="N",
         help="in-flight session cap per shard (default 64)",
     )
     fleet.add_argument(
-        "--admission-capacity", type=int, default=256, metavar="N",
+        "--admission-capacity", type=int, metavar="N",
         help="bound on the admission backlog (default 256)",
     )
     fleet.add_argument(
         "--policy",
+        dest="shed_policy",
         choices=SHED_POLICIES,
-        default=SHED_REJECT_NEW,
-        help="load-shedding policy when the backlog is full",
+        help=f"shedding policy for a full backlog (default {SHED_REJECT_NEW})",
     )
     fleet.add_argument(
-        "--tick-events", type=int, default=256, metavar="N",
+        "--tick-events", type=int, metavar="N",
         help=(
-            "arrival events each shard advances per coordinator tick; "
-            "part of the deterministic contract (fault plans name ticks)"
+            "arrival events each shard advances per coordinator tick "
+            "(default 256); fault plans name ticks"
         ),
     )
     fleet.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--heartbeat-timeout", dest="heartbeat_timeout_seconds",
+        type=float, metavar="SECONDS",
         help="real-time budget for a shard's tick reply (default 30)",
     )
     fleet.add_argument(
-        "--failover-limit", type=int, default=2, metavar="N",
+        "--failover-limit", type=int, metavar="N",
         help=(
             "re-admissions one stream gets after losing its shard before "
             "it is degraded instead (default 2)"
@@ -217,12 +230,11 @@ def _run_all(names: list[str], arguments, out) -> dict:
     if arguments.shards:
         config = FleetConfig(
             n_shards=arguments.shards,
-            max_active_per_shard=arguments.max_active,
-            admission_capacity=arguments.admission_capacity,
-            shed_policy=arguments.policy,
-            tick_events=arguments.tick_events,
-            heartbeat_timeout_seconds=arguments.heartbeat_timeout,
-            failover_limit=arguments.failover_limit,
+            **{
+                field: getattr(arguments, field)
+                for field in _FLEET_FLAGS.values()
+                if getattr(arguments, field) is not None
+            },
         )
     reports = {}
     for name in names:
@@ -274,6 +286,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
         parse_fleet_fault_specs(_fault_specs(arguments)).validate_for(
             arguments.shards
         )
+        # Likewise the fleet's settings, which would go unused.
+        given = [
+            flag
+            for flag, field in _FLEET_FLAGS.items()
+            if getattr(arguments, field) is not None
+        ]
+        if given and not arguments.shards:
+            raise ConfigurationError(
+                f"fleet-only option(s) {', '.join(given)} need "
+                "--shards N (N >= 1)"
+            )
         if arguments.trace:
             from ..obs.events import TraceWriter
             from ..obs.trace import Tracer, use_tracer

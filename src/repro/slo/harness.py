@@ -31,9 +31,9 @@ paper's Figure 13, useful for profiling but not for committed
 trajectories; only ``run_scenario`` accepts it.
 
 Every consultation's response time and deadline verdict are also
-stamped onto the session's ``push`` span, so when a replay is traced the
-report's SLO counters are recomputable from the trace alone via
-:func:`repro.obs.metrics.metrics_from_spans`.
+recorded as an ``slo_consult`` event on the session's ``push`` span
+(trace-only: the session registry, whose snapshot becomes the report's
+``counters``, never sees it).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from ..core.registry import check_names, default_algorithms, default_datasets
 from ..core.resilience import TIMEOUT
 from ..core.voting import wrap_for_dataset
 from ..data.splits import train_test_split
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import current_span, get_tracer
+from ..obs.metrics import MetricsRegistry, emit
+from ..obs.trace import get_tracer
 from ..serve.breaker import CircuitBreaker
 from ..serve.guard import GuardStats, InputGuard
 from ..serve.fallback import make_fallback
@@ -304,7 +304,8 @@ class ShardRuntime:
             ]
             for descriptor in opened:
                 self.open_stream(descriptor)
-            outcomes = self.run_events(request.get("max_events"))
+            with get_tracer().span("replay", shard=self.index):
+                outcomes = self.run_events(request.get("max_events"))
             return {
                 "cmd": "tick",
                 "ok": True,
@@ -421,11 +422,10 @@ class ShardRuntime:
             stream.misses += missed
             stream.responses.append(response)
             self.responses.append(response)
-            # Stamped on the push span so a trace alone recomputes the
-            # SLO counters (repro.obs.metrics.metrics_from_spans).
-            span = current_span()
-            span.set_attribute("slo.response_seconds", response)
-            span.set_attribute("slo.deadline_missed", missed)
+            emit(
+                None, "slo_consult",
+                response_seconds=response, deadline_missed=missed,
+            )
 
         return observe
 
@@ -509,10 +509,11 @@ def run_scenario(
     runtime = ShardRuntime(scenario, bundles, 0)
     for descriptor in scenario_streams(scenario):
         runtime.open_stream(descriptor)
-    outcomes = sorted(
-        runtime.run_events(),
-        key=lambda outcome: outcome["descriptor"]["global_index"],
-    )
+    # Events a session emits outside a consultation's push span (a
+    # rejected, sanitized or corrupted point) land on the replay span.
+    with get_tracer().span("replay", scenario=scenario.name):
+        outcomes = runtime.run_events()
+    outcomes.sort(key=lambda outcome: outcome["descriptor"]["global_index"])
     wall_seconds = time.perf_counter() - wall_start
     # ScenarioReport.makespan_seconds documents both drivers' definitions.
     makespan = (

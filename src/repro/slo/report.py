@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle at run time
 __all__ = [
     "ScenarioReport",
     "FleetSection",
+    "FLEET_COUNTERS",
     "ShardSummary",
     "summarize_responses",
 ]
@@ -99,6 +100,20 @@ class ShardSummary:
         }
 
 
+#: :class:`FleetSection` field -> the ``fleet.*`` counter it is reported as.
+FLEET_COUNTERS = {
+    "n_requested": "fleet.requested",
+    "n_admitted": "fleet.admitted",
+    "n_decided": "fleet.decided",
+    "n_no_decision": "fleet.no_decision",
+    "n_degraded": "fleet.degraded",
+    "n_shed": "fleet.shed",
+    "failovers": "fleet.failovers",
+    "stream_failovers": "fleet.stream_failovers",
+    "batched_consults": "fleet.batched_consults",
+}
+
+
 @dataclass
 class FleetSection:
     """What a sharded replay adds: admission, failover, per-shard data.
@@ -145,17 +160,10 @@ class FleetSection:
         return self.n_degraded / self.n_requested if self.n_requested else 0.0
 
     def counters(self) -> dict[str, int]:
-        """The ``fleet.*`` counters (recomputable from a trace)."""
+        """The ``fleet.*`` counters."""
         return {
-            "fleet.requested": self.n_requested,
-            "fleet.admitted": self.n_admitted,
-            "fleet.decided": self.n_decided,
-            "fleet.no_decision": self.n_no_decision,
-            "fleet.degraded": self.n_degraded,
-            "fleet.shed": self.n_shed,
-            "fleet.failovers": self.failovers,
-            "fleet.stream_failovers": self.stream_failovers,
-            "fleet.batched_consults": self.batched_consults,
+            name: getattr(self, field)
+            for field, name in FLEET_COUNTERS.items()
         }
 
 

@@ -98,3 +98,23 @@ def test_in_process_fleet_keeps_its_push_spans(monkeypatch):
     assert report.deadline_misses > 0
     assert snapshot["slo.response_seconds"]["count"] == report.n_consults
     assert snapshot["slo.deadline_misses"] == report.deadline_misses
+
+
+def test_in_process_fleet_trace_rolls_up_its_serve_counters(monkeypatch):
+    # Rejected points are emitted outside any push span; the shard's
+    # replay span must still carry them into the trace.
+    monkeypatch.setattr(
+        "repro.fleet.coordinator.fork_available", lambda: False
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        report = serve(
+            tiny_scenario(faults=["push:corrupt:2,5"]), tiny_config()
+        )
+    snapshot = metrics_from_spans(tracer.finished_spans()).snapshot()
+    live, rollup = (
+        {k: v for k, v in counters.items() if k.startswith("serve.")}
+        for counters in (report.counters, snapshot)
+    )
+    assert live["serve.rejected_points"] > 0
+    assert rollup == live

@@ -25,6 +25,7 @@ from repro.obs import (
     TraceReader,
     TraceWriter,
     Tracer,
+    emit,
     metrics_from_spans,
     read_spans,
     use_tracer,
@@ -235,8 +236,9 @@ class TestCliTrace:
         path = tmp_path / "trace.jsonl"
         with TraceWriter(path) as writer:
             tracer = Tracer(on_finish=writer.write_span)
-            with tracer.span("cell") as cell:
+            with use_tracer(tracer), tracer.span("cell") as cell:
                 cell.set_status("timeout")
+                emit(None, "cell_committed", status="timeout", seconds=0.0)
         out = io.StringIO()
         assert summary_main([str(path)], out=out) == 0
         text = out.getvalue()
@@ -285,3 +287,67 @@ class TestTraceMetricsAgreement:
         live = runner.metrics.snapshot()
         assert recomputed["cells_total"] == live["cells_total"]
         assert recomputed["cells_completed"] == live["cells_completed"]
+
+
+def _grid_fault(case):
+    """A ``FaultPlan`` for one fault case of the grid parity test."""
+    from repro.core.resilience import FaultPlan
+    from repro.core.timeouts import EvaluationTimeout
+    from repro.exceptions import DataFormatError
+
+    if case == "permanent-load":
+        return FaultPlan().fail(
+            "alpha",
+            exception=lambda: DataFormatError("corrupt file"),
+            attempts=None, stage="load",
+        )
+    if case == "transient-load":
+        return FaultPlan().fail("alpha", attempts=(1,), stage="load")
+    if case == "transient-cell":
+        return FaultPlan().fail("alpha", "FAST", attempts=(1,))
+    assert case == "budget-timeout"
+    return FaultPlan().fail(
+        "alpha", "FAST",
+        exception=lambda: EvaluationTimeout("budget burnt"),
+        attempts=None,
+    )
+
+
+class TestGridRollupParity:
+    """Every counter a grid run keeps live is rebuilt from its trace."""
+
+    @pytest.mark.parametrize(
+        "case, counter",
+        [
+            ("permanent-load", "datasets_failed"),
+            ("transient-load", "load_retries"),
+            ("transient-cell", "cell_retries"),
+            ("budget-timeout", "cells_timeout"),
+        ],
+    )
+    def test_rollup_equals_live_metrics(self, case, counter):
+        from tests.core.test_resilience import (
+            _no_sleep_policy,
+            _registries as fault_registries,
+        )
+
+        algorithms, datasets = fault_registries()
+        policy, _ = _no_sleep_policy(max_attempts=2, jitter=0.0)
+        runner = BenchmarkRunner(
+            algorithms, datasets, n_folds=2,
+            retry_policy=policy, fault_injector=_grid_fault(case),
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            runner.run()
+        live = runner.metrics.snapshot()
+        live.pop("grid_completion")  # progress, live only
+        rollup = metrics_from_spans(tracer.finished_spans()).snapshot()
+        assert live[counter] == 1
+        assert live["cells_total"] == 2
+        assert {
+            key: value
+            for key, value in rollup.items()
+            if not key.startswith("span.")
+        } == live
+        assert rollup["cell_seconds"]["count"] == live["cell_seconds"]["count"]

@@ -5,14 +5,17 @@ import threading
 import pytest
 
 from repro.exceptions import ReproError
+from repro.obs.events import TraceWriter, read_spans
 from repro.obs.metrics import (
+    EVENT_METRICS,
     Counter,
     Gauge,
     MetricsRegistry,
     TimerHistogram,
+    emit,
     metrics_from_spans,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, use_tracer
 
 
 class TestInstruments:
@@ -120,17 +123,29 @@ class TestRegistry:
 class TestMetricsFromSpans:
     def make_spans(self):
         tracer = Tracer()
-        with tracer.span("grid"):
+        with use_tracer(tracer), tracer.span("grid"):
             with tracer.span("cell", algorithm="A", dataset="D1"):
                 with tracer.span("fold", fold=0):
                     with tracer.span("fit"):
                         pass
                     with tracer.span("predict", n_test=7):
                         pass
+            emit(
+                None, "cell_committed", algorithm="A", dataset="D1",
+                status="completed", seconds=0.5, predictions=7,
+            )
             with tracer.span("cell", algorithm="B", dataset="D1") as cell:
                 cell.set_status("timeout")
+            emit(
+                None, "cell_committed", algorithm="B", dataset="D1",
+                status="timeout", seconds=1.0,
+            )
             with tracer.span("cell", algorithm="C", dataset="D1") as cell:
                 cell.set_status("error")
+            emit(
+                None, "cell_committed", algorithm="C", dataset="D1",
+                status="failed", seconds=0.1,
+            )
         return tracer.finished_spans()
 
     def test_cell_status_counters(self):
@@ -150,11 +165,90 @@ class TestMetricsFromSpans:
         assert snap["span.grid.seconds"]["count"] == 1
 
     def test_works_on_loaded_records(self, tmp_path):
-        from repro.obs.events import TraceWriter, read_spans
-
         path = tmp_path / "trace.jsonl"
         with TraceWriter(path) as writer:
             for span in self.make_spans():
                 writer.write_span(span)
         registry = metrics_from_spans(read_spans(path))
         assert registry.snapshot()["cells_timeout"] == 1
+
+
+#: Sample attributes per table entry; an entry missing here is emitted
+#: once with no attributes, which suffices for a plain event counter.
+SAMPLE_EVENTS = {
+    "cell_committed": [
+        {"status": "completed", "seconds": 0.5, "predictions": 7},
+        {"status": "completed", "seconds": 0.25, "retries": 2},
+        {"status": "timeout", "seconds": 3.0, "retries": 1},
+        {"status": "failed", "seconds": 0.0},
+    ],
+    "sched_cell": [
+        {"error_pct": 12.5, "stolen": False},
+        {"error_pct": 40.0, "stolen": True},
+    ],
+    "breaker_transition": [
+        {"from_state": "closed", "to_state": "open", "reason": "x"},
+        {"from_state": "open", "to_state": "half_open", "reason": "y"},
+        {"from_state": "half_open", "to_state": "open", "reason": "z"},
+    ],
+    "consult_failed": [
+        {"kind": "timeout", "error": "late"},
+        {"kind": "permanent", "error": "boom"},
+        {"kind": "transient", "error": "flaky"},
+    ],
+    "corrupted_push": [
+        {"push_index": 2, "ops": "missing_blocks,additive_noise"},
+        {"push_index": 3, "ops": "missing_blocks"},
+    ],
+    "slo_consult": [
+        {"response_seconds": 0.004, "deadline_missed": False},
+        {"response_seconds": 0.031, "deadline_missed": True},
+    ],
+    "fleet_stream": [
+        {"outcome": "decided", "admitted": True, "failovers": 1},
+        {"outcome": "degraded", "admitted": True, "failovers": 3},
+        {"outcome": "shed", "admitted": False, "failovers": 0},
+        {"outcome": "no_decision", "admitted": True, "failovers": 0},
+    ],
+}
+
+
+class TestCounterTable:
+    def test_samples_name_only_table_entries(self):
+        assert set(SAMPLE_EVENTS) <= set(EVENT_METRICS)
+
+    @pytest.mark.parametrize("name", sorted(EVENT_METRICS))
+    def test_live_registry_equals_trace_rollup(self, name, tmp_path):
+        live = MetricsRegistry()
+        path = tmp_path / "trace.jsonl"
+        with TraceWriter(path) as writer:
+            tracer = Tracer(on_finish=writer.write_span)
+            with use_tracer(tracer), tracer.span("run"):
+                for attributes in SAMPLE_EVENTS.get(name, [{}]):
+                    emit(live, name, **attributes)
+        expected = live.snapshot()
+        assert expected, f"{name} updated no instrument"
+        for spans in (tracer.finished_spans(), read_spans(path)):
+            rollup = metrics_from_spans(spans).snapshot()
+            assert {
+                key: value
+                for key, value in rollup.items()
+                if not key.startswith("span.")
+            } == expected
+
+    def test_emit_without_registry_only_records_the_event(self):
+        tracer = Tracer()
+        with use_tracer(tracer), tracer.span("run") as span:
+            emit(None, "fallback_consult", push_index=4)
+        assert span.events[0]["name"] == "fallback_consult"
+        assert span.events[0]["attributes"] == {"push_index": 4}
+
+    def test_events_outside_the_table_update_nothing(self):
+        registry = MetricsRegistry()
+        emit(registry, "attempt_failed", attempt=1)
+        assert registry.snapshot() == {}
+
+    def test_zero_amounts_create_no_counter(self):
+        registry = MetricsRegistry()
+        emit(registry, "sched_cell", error_pct=1.0, stolen=False)
+        assert "sched.steals" not in registry.snapshot()

@@ -191,19 +191,12 @@ class TestSessionIntegration:
         assert session.corruption_events
 
     def test_trace_rollup_reproduces_corruption_counters(self, trained):
-        from repro.obs.metrics import metrics_from_spans
-        from repro.obs.trace import Tracer, use_tracer
-
         _, dataset = trained
         corruptor = StreamCorruptor(
             ["missing_blocks:4", "additive_noise:2@tail"], seed=2
         )
         session = self._session(trained, corruptor=corruptor)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            session.run(dataset.values[0])
-        live = session.metrics.snapshot()
-        rollup = metrics_from_spans(tracer.finished_spans()).snapshot()
+        live, rollup = self._traced_run(session, dataset.values[0])
         assert live["serve.corrupted_points"] > 0
         for counter in (
             "serve.corrupted_points",
@@ -211,6 +204,50 @@ class TestSessionIntegration:
             "serve.corruption.additive_noise",
         ):
             assert rollup[counter] == live[counter]
+
+    def test_trace_rollup_reproduces_guard_and_fallback_counters(
+        self, trained
+    ):
+        from repro.serve import CircuitBreaker
+
+        _, dataset = trained
+        # Two failed consultations open the breaker for good, push 3 is
+        # corrupted (rejected) and push 4 carries a NaN (sanitized).
+        plan = ServeFaultPlan().fail_consult(at=(1, 2)).corrupt_push(at=(3,))
+        session = self._session(
+            trained,
+            fault_injector=plan,
+            breaker=CircuitBreaker(
+                failure_threshold=2, recovery_seconds=1e9
+            ),
+        )
+        series = dataset.values[0].copy()
+        series[:, 3] = np.nan
+        live, rollup = self._traced_run(session, series)
+        for counter in (
+            "serve.rejected_points",
+            "serve.sanitized_points",
+            "serve.fallback_consults",
+            "serve.breaker_trips",
+            "serve.consult_failures",
+        ):
+            assert live[counter] > 0, counter
+        assert {
+            key: value for key, value in rollup.items()
+            if key.startswith("serve.")
+        } == live
+
+    @staticmethod
+    def _traced_run(session, series):
+        """Run ``series`` traced; the live and rolled-up snapshots."""
+        from repro.obs.metrics import metrics_from_spans
+        from repro.obs.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            session.run(series)
+        rollup = metrics_from_spans(tracer.finished_spans()).snapshot()
+        return session.metrics.snapshot(), rollup
 
     def test_guard_still_sanitizes_corrupted_points(self, trained):
         # NaNs injected by the corruptor reach the guard, which imputes

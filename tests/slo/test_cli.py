@@ -202,6 +202,34 @@ class TestExitCodes:
         )
         assert trained == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--policy", "degrade"),
+            ("--max-active", "1"),
+            ("--admission-capacity", "4"),
+            ("--tick-events", "3"),
+            ("--heartbeat-timeout", "5"),
+            ("--failover-limit", "1"),
+        ],
+    )
+    def test_fleet_flags_without_shards_are_a_config_error(
+        self, tmp_path, monkeypatch, flag, value
+    ):
+        trained = []
+        monkeypatch.setattr(
+            "repro.slo.harness.wrap_for_dataset",
+            lambda factory, train: trained.append(train),
+        )
+        scenario = tiny_scenario_file(tmp_path)
+        out = io.StringIO()
+        code = slo_main(["--scenario", str(scenario), flag, value], out)
+        assert code == 2
+        text = out.getvalue()
+        assert text.startswith("error: ") and flag in text
+        assert "--shards" in text
+        assert trained == []
+
     def test_unknown_key_error_is_actionable(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(

@@ -63,10 +63,6 @@ class AdmissionQueue:
         self.capacity = capacity
         self.policy = policy
         self._queue: deque = deque()
-        self.n_offered = 0
-        self.n_admitted = 0
-        self.n_shed = 0
-        self.n_degraded = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -77,22 +73,16 @@ class AdmissionQueue:
 
     def offer(self, item: Any) -> AdmissionDecision:
         """Apply the shedding policy to one newly requested stream."""
-        self.n_offered += 1
         if len(self._queue) < self.capacity:
             self._queue.append(item)
-            self.n_admitted += 1
             return AdmissionDecision(ADMITTED)
         if self.policy == SHED_REJECT_NEW:
-            self.n_shed += 1
             return AdmissionDecision(SHED)
         if self.policy == SHED_OLDEST:
             displaced = self._queue.popleft()
             self._queue.append(item)
-            self.n_admitted += 1
-            self.n_shed += 1
             return AdmissionDecision(ADMITTED, displaced=displaced)
         # SHED_DEGRADE: the stream is answered by the batched fallback.
-        self.n_degraded += 1
         return AdmissionDecision(DEGRADED)
 
     def readmit(self, item: Any) -> AdmissionDecision:
@@ -105,7 +95,6 @@ class AdmissionQueue:
         if len(self._queue) < self.capacity:
             self._queue.appendleft(item)
             return AdmissionDecision(ADMITTED)
-        self.n_degraded += 1
         return AdmissionDecision(DEGRADED)
 
     def take(self, n: int) -> list[Any]:

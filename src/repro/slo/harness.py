@@ -469,15 +469,14 @@ class ShardRuntime:
             )
         del self._streams[stream.descriptor.global_index]
         # Streams interleave, so their push spans cannot nest under a
-        # per-stream span; a zero-length ``stream`` span records each
-        # stream's outcome once it completes instead.
-        with get_tracer().span(
-            "stream",
+        # per-stream span; a ``stream_completed`` event on the enclosing
+        # ``replay`` span records each stream's outcome instead.
+        emit(
+            None, "stream_completed",
             stream=stream.name,
             decided_at=decision.decided_at if decision else None,
             n_consultations=len(stream.responses),
-        ):
-            pass
+        )
         return {
             "descriptor": stream.descriptor.as_dict(),
             "name": stream.name,

@@ -11,9 +11,18 @@ implements the standard nu-OC-SVM dual
 by projected gradient descent, with the simplex-with-box projection solved
 by bisection. For the small per-prefix training sets TEASER produces this is
 fast and dependable.
+
+Each bisection step asks one question: does ``clip(alpha - shift, 0,
+upper).sum()`` exceed one? The projection sorts ``alpha`` once and answers
+from its prefix sums in O(log n) Python float operations, falling back to
+the numpy expression only when the answer is within a proven rounding bound
+of one. The shifts, and so the projections, are bitwise those of evaluating
+the numpy expression at every step (see :func:`_project_box_simplex`).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -36,12 +45,57 @@ def _project_box_simplex(alpha: np.ndarray, upper: float) -> np.ndarray:
     The projection is ``clip(alpha - shift, 0, upper)`` for the unique shift
     making the coordinates sum to one; ``sum`` is monotone in the shift so
     bisection converges quickly.
+
+    Each step decides ``total > 1`` for ``total = clip(alpha - shift, 0,
+    upper).sum()`` without that O(n) numpy call. With ``s`` the sorted
+    ``alpha`` and ``P`` its prefix sums (``P[k] = s[0] + ... + s[k-1]``),
+    the coordinates ``<= shift`` contribute 0, those ``>= shift + upper``
+    contribute ``upper`` and the ``m`` in between ``s[j] - shift``, so
+
+        total = P[hi] - P[lo] - m * shift + (n - hi) * upper
+
+    with ``lo``/``hi`` found by bisecting ``s`` (a coordinate equal to
+    ``shift`` or to ``shift + upper`` contributes the same, up to the
+    rounding counted below, on either side of it). Let ``T`` be the exact
+    value, ``u = 2**-53`` and ``A = max|alpha_i|``; the shift stays in
+    ``[min - upper, max]``, so ``|shift| <= A + upper``. To first order in
+    ``n * u``:
+
+    * numpy rounds each ``alpha_i - shift`` (clipping is exact, and rounding
+      cannot carry a value across the float bounds 0 or ``upper``), then
+      sums in some order: off by at most ``n * u * T <= n**2 * u * upper``;
+    * each prefix sum is off by at most ``n * u * (n * A)``;
+    * ``m * shift``, ``(n - hi) * upper`` and the three additions round
+      values of size at most ``2 * n * A + n * |shift| + n * upper``: at
+      most ``6 * n * u * (A + |shift| + upper)`` in all;
+    * ``shift + upper`` is rounded, so a coordinate within ``u * (|shift|
+      + upper)`` of it may count as ``upper`` instead of ``s[j] - shift``,
+      or the reverse: at most ``n * u * (|shift| + upper)``.
+
+    That sums to at most ``2 * n * (n + 7) * u * (A + upper)``, and
+    ``bound = 8 * n * (n + 4) * u * (A + upper)`` is at least twice it,
+    covering the higher-order terms. Whenever the fast ``total`` is farther
+    than ``bound`` from one it is on the same side of one as numpy's sum;
+    otherwise the step evaluates the numpy expression. So the
+    ``low``/``high`` sequence, and the returned array, are bitwise those of
+    evaluating the numpy expression at every step. ``alpha`` must be
+    finite.
     """
-    low = alpha.min() - upper
-    high = alpha.max()
+    ordered = np.sort(alpha)
+    prefix = [0.0, *np.cumsum(ordered).tolist()]
+    ordered = ordered.tolist()
+    n = len(ordered)
+    low = ordered[0] - upper
+    high = ordered[-1]
+    scale = max(-ordered[0], ordered[-1]) + upper
+    bound = 8.0 * n * (n + 4) * 2.0**-53 * scale
     for _ in range(100):
         shift = 0.5 * (low + high)
-        total = np.clip(alpha - shift, 0.0, upper).sum()
+        lo = bisect_right(ordered, shift)
+        hi = bisect_left(ordered, shift + upper)
+        total = prefix[hi] - prefix[lo] - (hi - lo) * shift + (n - hi) * upper
+        if abs(total - 1.0) <= bound:
+            total = np.clip(alpha - shift, 0.0, upper).sum()
         if total > 1.0:
             low = shift
         else:
@@ -83,13 +137,22 @@ class OneClassSVM:
         self._gamma: float = 1.0
 
     def fit(self, rows: np.ndarray) -> "OneClassSVM":
-        """Learn the support of the (single-class) training rows."""
+        """Learn the support of the (single-class) training rows.
+
+        Raises :class:`DataError` if any row holds NaN or inf.
+        """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise DataError(f"expected a 2-D matrix, got shape {rows.shape}")
         n = rows.shape[0]
         if n == 0:
             raise DataError("cannot fit OneClassSVM on zero samples")
+        n_bad = int((~np.isfinite(rows)).any(axis=1).sum())
+        if n_bad:
+            raise DataError(
+                f"cannot fit OneClassSVM: {n_bad} of {n} row(s) contain "
+                "NaN or inf"
+            )
         if self.gamma is None:
             variance = rows.var()
             self._gamma = 1.0 / (rows.shape[1] * variance) if variance > 0 else 1.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.fleet import AdmissionQueue, SHED_DEGRADE, SHED_OLDEST, SHED_REJECT_NEW
-from repro.fleet.admission import ADMITTED, DEGRADED, SHED
+from repro.fleet.admission import ADMITTED, DEGRADED, SHED, AdmissionDecision
 
 
 class TestValidation:
@@ -20,42 +20,41 @@ class TestValidation:
 class TestRejectNew:
     def test_overflow_sheds_the_newcomer(self):
         queue = AdmissionQueue(2, SHED_REJECT_NEW)
-        assert queue.offer("a").outcome == ADMITTED
-        assert queue.offer("b").outcome == ADMITTED
-        decision = queue.offer("c")
-        assert decision.outcome == SHED
-        assert decision.displaced is None
+        decisions = [queue.offer(item) for item in "abc"]
+        assert decisions == [
+            AdmissionDecision(ADMITTED),
+            AdmissionDecision(ADMITTED),
+            AdmissionDecision(SHED),
+        ]
         # The waiting streams are untouched, in FIFO order.
+        assert len(queue) == 2
         assert queue.take(10) == ["a", "b"]
-        assert queue.n_offered == 3
-        assert queue.n_admitted == 2
-        assert queue.n_shed == 1
 
 
 class TestShedOldest:
     def test_overflow_evicts_the_oldest_waiter(self):
         queue = AdmissionQueue(2, SHED_OLDEST)
-        queue.offer("a")
-        queue.offer("b")
-        decision = queue.offer("c")
+        decisions = [queue.offer(item) for item in "abc"]
         # The newcomer is admitted; the oldest waiter pays.
-        assert decision.outcome == ADMITTED
-        assert decision.displaced == "a"
+        assert decisions == [
+            AdmissionDecision(ADMITTED),
+            AdmissionDecision(ADMITTED),
+            AdmissionDecision(ADMITTED, displaced="a"),
+        ]
+        assert len(queue) == 2
         assert queue.take(10) == ["b", "c"]
-        assert queue.n_shed == 1
-        assert queue.n_admitted == 3
 
 
 class TestDegrade:
     def test_overflow_degrades_the_newcomer(self):
         queue = AdmissionQueue(1, SHED_DEGRADE)
-        queue.offer("a")
-        decision = queue.offer("b")
-        assert decision.outcome == DEGRADED
-        assert decision.displaced is None
+        decisions = [queue.offer(item) for item in "ab"]
+        assert decisions == [
+            AdmissionDecision(ADMITTED),
+            AdmissionDecision(DEGRADED),
+        ]
+        assert len(queue) == 1
         assert queue.take(10) == ["a"]
-        assert queue.n_degraded == 1
-        assert queue.n_shed == 0
 
 
 class TestReadmission:
@@ -70,11 +69,10 @@ class TestReadmission:
         # A stream that was already admitted must not be silently
         # revoked: even under reject-new, failover overflow degrades.
         queue = AdmissionQueue(1, SHED_REJECT_NEW)
-        queue.offer("a")
-        decision = queue.readmit("victim")
-        assert decision.outcome == DEGRADED
-        assert queue.n_shed == 0
-        assert queue.n_degraded == 1
+        assert queue.offer("a") == AdmissionDecision(ADMITTED)
+        assert queue.readmit("victim") == AdmissionDecision(DEGRADED)
+        # Nothing waiting was evicted and the victim was not queued.
+        assert queue.take(10) == ["a"]
 
 
 class TestTake:

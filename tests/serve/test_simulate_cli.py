@@ -97,4 +97,14 @@ class TestServeSimCli:
             json.loads(line) for line in trace.read_text().splitlines()
         ]
         names = {r.get("name") for r in records}
-        assert "stream" in names and "push" in names
+        assert "replay" in names and "push" in names
+        # Each completed stream is an event on the replay span.
+        completed = [
+            event["attributes"]
+            for r in records
+            if r.get("name") == "replay"
+            for event in r.get("events") or ()
+            if event["name"] == "stream_completed"
+        ]
+        assert len(completed) == 2
+        assert all(c["n_consultations"] >= 1 for c in completed)

@@ -103,11 +103,21 @@ class TestRunning:
         assert degraded in text
         trips = int(re.search(r"breaker +(\d+) trip", text).group(1))
         assert (trips >= 1) == bool(overrides)
-        names = {
-            json.loads(line).get("name")
+        records = [
+            json.loads(line)
             for line in trace.read_text(encoding="utf-8").splitlines()
-        }
-        assert {"stream", "push"} <= names
+        ]
+        assert {"replay", "push"} <= {r.get("name") for r in records}
+        # Each completed stream is an event on the replay span.
+        completed = [
+            event["attributes"]
+            for r in records
+            if r.get("name") == "replay"
+            for event in r.get("events") or ()
+            if event["name"] == "stream_completed"
+        ]
+        assert len(completed) == 2
+        assert all(c["decided_at"] is not None for c in completed)
 
 
     @pytest.mark.parametrize("shards", ["0", "2"])

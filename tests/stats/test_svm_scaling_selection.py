@@ -77,6 +77,17 @@ class TestOneClassSVM:
         with pytest.raises(NotFittedError):
             OneClassSVM().predict(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_with_their_count(self, rng, bad):
+        # Before this check the fit "succeeded" with NaN alpha and rho,
+        # and the model rejected every sample.
+        rows = rng.normal(size=(6, 3))
+        rows[1, 0] = bad
+        rows[4, 2] = bad
+        rows[4, 1] = bad
+        with pytest.raises(DataError, match="2 of 6 row"):
+            OneClassSVM(nu=0.2).fit(rows)
+
 
 class TestStandardScaler:
     def test_zero_mean_unit_variance(self, rng):

@@ -13,9 +13,18 @@ scored per node) must make exactly the decisions of the historical
 per-candidate ``information_gain`` loop and per-node argsort scan: equal
 boundaries, equal ``(feature, threshold)`` trees, bitwise-equal
 probabilities.
+
+The OC-SVM box-simplex projection decides each bisection step from the
+sorted coordinates' prefix sums, falling back to numpy within a rounding
+bound; it must return bitwise the projection of the historical loop that
+evaluated ``np.clip(alpha - shift, 0, upper).sum()`` at every step, and
+``OneClassSVM.fit`` must learn bitwise the same ``alpha`` and ``rho``.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -24,7 +33,9 @@ from repro.stats.boosting import GradientBoostingClassifier
 from repro.stats.distance import pairwise_squared_euclidean
 from repro.stats.feature_selection import information_gain
 from repro.stats.hierarchical import linkage_merge_order
+from repro.stats import svm
 from repro.stats.kmeans import KMeans
+from repro.stats.svm import OneClassSVM, _project_box_simplex
 from repro.stats.tree import DecisionTreeRegressor, _Node, _validate_matrix
 from repro.transform.sfa import (
     SFATransformer,
@@ -456,4 +467,143 @@ class TestTreeSplitsFromOnePresort:
         ]
         assert np.array_equal(
             model.predict_proba(features), reference.predict_proba(features)
+        )
+
+
+def _reference_project_box_simplex(alpha, upper):
+    """The historical loop: one numpy clip-and-sum per bisection step."""
+    low = alpha.min() - upper
+    high = alpha.max()
+    for _ in range(100):
+        shift = 0.5 * (low + high)
+        total = np.clip(alpha - shift, 0.0, upper).sum()
+        if total > 1.0:
+            low = shift
+        else:
+            high = shift
+        if high - low < 1e-12:
+            break
+    return np.clip(alpha - 0.5 * (low + high), 0.0, upper)
+
+
+def _box_upper(n, nu):
+    """The box ``OneClassSVM.fit`` projects onto; ``nu=None`` is relaxed."""
+    if nu is None:
+        return 1.0 / n + 1e-12
+    return 1.0 / max(nu * n, 1.0)
+
+
+def _alpha(kind, n, upper, scale, rng):
+    """A point to project: the magnitudes and shapes the proof must cover."""
+    if kind == "equal":
+        return np.full(n, scale * rng.normal())
+    if kind == "ties":
+        return rng.integers(-3, 4, n) * scale
+    if kind == "dyadic":  # bisection midpoints hit the root exactly
+        return rng.integers(-8, 9, n) / 8.0
+    if kind == "breakpoint":
+        # The root shift lands on a coordinate: k coordinates sit at or
+        # above ``root + upper`` (one exactly on it), the rest share the
+        # remaining mass below ``upper`` each, and the others sit at
+        # ``root`` itself.
+        root = scale * rng.normal()
+        k = int(rng.integers(0, min(n, int(1.0 / upper)) + 1))
+        top = root + upper + scale * rng.uniform(0.0, 1.0, k)
+        if k:
+            top[0] = root + upper
+        mass, rest = 1.0 - k * upper, n - k
+        m = min(rest, int(np.ceil(mass / upper)) + 1) if mass > 0 else 0
+        middle = root + rng.dirichlet(np.ones(m)) * mass if m else []
+        bottom = np.full(rest - m, root)
+        return rng.permutation(np.concatenate([top, middle, bottom]))
+    return scale * rng.normal(size=n)
+
+
+ALPHA_KINDS = ["continuous", "equal", "ties", "dyadic", "breakpoint"]
+NUS = [None, 0.05, 0.1, 0.5, 1.0]
+
+
+def _projection_case(n, kind, nu, exponent, seed):
+    rng = np.random.default_rng(seed)
+    upper = _box_upper(n, nu)
+    return _alpha(kind, n, upper, 10.0**exponent, rng), upper
+
+
+def _assert_projection_matches(alpha, upper):
+    fast = _project_box_simplex(alpha, upper)
+    reference = _reference_project_box_simplex(alpha, upper)
+    assert fast.tobytes() == reference.tobytes()
+
+
+class TestBoxSimplexProjectionFromBreakpoints:
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("value", [-1e3, -0.5, 0.0, 1e-8, 0.25, 7.0])
+    def test_single_coordinate(self, value, nu):
+        _assert_projection_matches(np.array([value]), _box_upper(1, nu))
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_all_equal_coordinates(self, n, nu):
+        for value in (-3.0, 0.0, 1.0 / n, 1e-8, 1e3):
+            _assert_projection_matches(np.full(n, value), _box_upper(n, nu))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        kind=st.sampled_from(ALPHA_KINDS),
+        nu=st.sampled_from(NUS),
+        exponent=st.floats(-8.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projection_matches_per_step_numpy_loop(
+        self, n, kind, nu, exponent, seed
+    ):
+        _assert_projection_matches(
+            *_projection_case(n, kind, nu, exponent, seed)
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.conformance
+    @settings(max_examples=2500, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        kind=st.sampled_from(ALPHA_KINDS),
+        nu=st.sampled_from(NUS),
+        exponent=st.floats(-8.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projection_matches_per_step_numpy_loop_deep(
+        self, n, kind, nu, exponent, seed
+    ):
+        _assert_projection_matches(
+            *_projection_case(n, kind, nu, exponent, seed)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        n_features=st.integers(1, 4),
+        kind=st.sampled_from(["continuous", "ties", "constant"]),
+        nu=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+        exponent=st.floats(-4.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_matches_per_step_numpy_loop(
+        self, n, n_features, kind, nu, exponent, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rows = _tree_features(kind, n, n_features, rng) * 10.0**exponent
+        if kind == "constant":
+            rows[:] = rows[0]
+        model = OneClassSVM(nu=nu).fit(rows)
+        with mock.patch.object(
+            svm, "_project_box_simplex", _reference_project_box_simplex
+        ):
+            reference = OneClassSVM(nu=nu).fit(rows)
+        assert model._alpha.tobytes() == reference._alpha.tobytes()
+        assert model._rho == reference._rho
+        probe = np.concatenate([rows, rng.normal(size=(5, n_features))])
+        assert (
+            model.decision_function(probe).tobytes()
+            == reference.decision_function(probe).tobytes()
         )

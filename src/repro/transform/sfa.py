@@ -11,6 +11,12 @@ WEASEL turns each sliding window into a short *word* over a small alphabet:
 
 Words are encoded as integers in base ``alphabet_size`` so downstream code
 can hash and count them cheaply.
+
+Information-gain binning scores all word positions together: the labels
+are encoded once per fit, every coefficient column is stable-sorted in one
+call, and every candidate split of every position is scored by one
+entropy pass (:func:`_split_gains`). The boundaries are bitwise those of
+scoring each position, and each candidate, on its own.
 """
 
 from __future__ import annotations
@@ -79,79 +85,114 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
 
 
 def _split_gains(
-    sorted_values: np.ndarray, sorted_labels: np.ndarray, thresholds: np.ndarray
+    sorted_columns: np.ndarray,
+    sorted_classes: np.ndarray,
+    thresholds: list[np.ndarray],
 ) -> np.ndarray:
-    """Information gain of splitting at each threshold, from one sort.
+    """Information gain of splitting each column at each of its thresholds.
 
-    ``sorted_labels`` follow ``sorted_values`` (ascending). Cumulative class
-    counts along the sorted column, read at ``searchsorted(side="right")``
-    (``values <= threshold``), give every left/right class count at once;
-    each gain equals ``information_gain(values, labels, threshold)`` bit for
-    bit.
+    ``sorted_columns`` has one ascending column per feature and
+    ``sorted_classes`` the integer class of each value, following it.
+    Cumulative class counts down each sorted column, read at
+    ``searchsorted(side="right")`` (``values <= threshold``), give every
+    left/right class count at once. The left, right and parent rows of
+    every column go through one :func:`_entropies` call, which is exact
+    because each row sums on its own. Returns the gains of all columns'
+    thresholds, concatenated in column order; each equals
+    ``information_gain(values, labels, threshold)`` bit for bit.
     """
-    n = len(sorted_values)
-    _, classes = np.unique(sorted_labels, return_inverse=True)
-    one_hot = np.zeros((n + 1, classes.max() + 1), dtype=np.int64)
-    one_hot[np.arange(1, n + 1), classes] = 1
+    n, n_columns = sorted_columns.shape
+    one_hot = np.zeros((n + 1, n_columns, sorted_classes.max() + 1), dtype=np.int64)
+    one_hot[
+        np.arange(1, n + 1)[:, None], np.arange(n_columns), sorted_classes
+    ] = 1
     cumulative = np.cumsum(one_hot, axis=0)
-    left = cumulative[np.searchsorted(sorted_values, thresholds, side="right")]
+    left = np.concatenate(
+        [
+            cumulative[
+                np.searchsorted(sorted_columns[:, j], column_thresholds, side="right"),
+                j,
+            ]
+            for j, column_thresholds in enumerate(thresholds)
+        ]
+    )
+    total = cumulative[-1, 0]
+    entropies = _entropies(np.concatenate([left, total - left, total[None]]))
     left_n = left.sum(axis=1)
-    weighted = (
-        left_n * _entropies(left) + (n - left_n) * _entropies(cumulative[-1] - left)
-    ) / n
-    return _entropies(cumulative[-1:])[0] - weighted
+    m = len(left)
+    weighted = (left_n * entropies[:m] + (n - left_n) * entropies[m:-1]) / n
+    return entropies[-1] - weighted
 
 
-def _information_gain_boundaries(
-    column: np.ndarray, labels: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Information-gain boundaries, as in WEASEL's binning.
+def _information_gain_boundaries_per_column(
+    columns: np.ndarray, labels: np.ndarray, n_bins: int
+) -> list[np.ndarray]:
+    """Information-gain boundaries of each column, as in WEASEL's binning.
 
     Candidates are the midpoints between distinct consecutive sorted values
     (evenly subsampled to at most 64). Each candidate is scored once, by the
     information gain of splitting the *whole* column at it, and the
     ``n_bins - 1`` best-scoring distinct candidates become the boundaries
-    (the first wins a tie); missing slots are filled with equi-depth cuts.
+    (the first wins a tie; a candidate within ``1e-12`` of a chosen one is
+    excluded); missing slots are filled with equi-depth cuts.
 
     A candidate's gain does not depend on the boundaries already placed, so
-    all of them are scored once, from one sort (:func:`_split_gains`).
+    the labels are encoded once, every column is stable-sorted in one call,
+    and all candidates of all columns are scored together
+    (:func:`_split_gains`).
     """
-    order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    # Candidate thresholds: midpoints between distinct consecutive values.
-    distinct = sorted_values[1:] > sorted_values[:-1]
-    candidates = 0.5 * (sorted_values[1:] + sorted_values[:-1])[distinct]
-    if candidates.size == 0:
-        return _equi_depth_boundaries(column, n_bins)
-    if candidates.size > 64:
-        # Subsample candidates evenly to bound the O(candidates * n) cost.
-        candidates = candidates[
-            np.linspace(0, candidates.size - 1, 64).astype(int)
-        ]
-    gains = _split_gains(sorted_values, np.asarray(labels)[order], candidates)
-    boundaries: list[float] = []
-    for _ in range(n_bins - 1):
-        best_gain = -np.inf
-        best_candidate = None
-        for candidate, gain in zip(candidates.tolist(), gains.tolist()):
-            if any(abs(candidate - b) < 1e-12 for b in boundaries):
-                continue
-            if gain > best_gain:
-                best_gain = gain
-                best_candidate = float(candidate)
-        if best_candidate is None:
-            break
-        boundaries.append(best_candidate)
-    while len(boundaries) < n_bins - 1:
-        # Fill any remaining slots with equi-depth cuts.
-        filler = _equi_depth_boundaries(column, n_bins)
-        for value in filler:
-            if len(boundaries) >= n_bins - 1:
+    _, classes = np.unique(labels, return_inverse=True)
+    orders = np.argsort(columns, axis=0, kind="stable")
+    sorted_columns = np.take_along_axis(columns, orders, axis=0)
+    candidates = []
+    for sorted_values in sorted_columns.T:
+        # Candidate thresholds: midpoints between distinct consecutive values.
+        distinct = sorted_values[1:] > sorted_values[:-1]
+        midpoints = 0.5 * (sorted_values[1:] + sorted_values[:-1])[distinct]
+        if midpoints.size > 64:
+            # Subsample candidates evenly to bound the O(candidates * n) cost.
+            midpoints = midpoints[
+                np.linspace(0, midpoints.size - 1, 64).astype(int)
+            ]
+        candidates.append(midpoints)
+    gains = _split_gains(sorted_columns, classes[orders], candidates)
+    ends = np.cumsum([len(column_candidates) for column_candidates in candidates])
+    all_boundaries = []
+    for column, column_candidates, column_gains in zip(
+        columns.T, candidates, np.split(gains, ends[:-1])
+    ):
+        if column_candidates.size == 0:
+            all_boundaries.append(_equi_depth_boundaries(column, n_bins))
+            continue
+        boundaries: list[float] = []
+        available = np.ones(column_candidates.size, dtype=bool)
+        for _ in range(n_bins - 1):
+            if not available.any():
                 break
-            if all(abs(value - b) > 1e-12 for b in boundaries):
-                boundaries.append(float(value))
-        break
-    return np.sort(np.asarray(boundaries))
+            best = column_candidates[
+                np.argmax(np.where(available, column_gains, -np.inf))
+            ]
+            boundaries.append(float(best))
+            available &= ~(np.abs(column_candidates - best) < 1e-12)
+        if len(boundaries) < n_bins - 1:
+            # Fill the remaining slots with equi-depth cuts.
+            for value in _equi_depth_boundaries(column, n_bins):
+                if len(boundaries) >= n_bins - 1:
+                    break
+                if all(abs(value - b) > 1e-12 for b in boundaries):
+                    boundaries.append(float(value))
+        all_boundaries.append(np.sort(np.asarray(boundaries)))
+    return all_boundaries
+
+
+def _information_gain_boundaries(
+    column: np.ndarray, labels: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Information-gain boundaries of one column: the one-column case of
+    :func:`_information_gain_boundaries_per_column`."""
+    return _information_gain_boundaries_per_column(
+        np.asarray(column)[:, None], labels, n_bins
+    )[0]
 
 
 class SFATransformer:
@@ -201,24 +242,20 @@ class SFATransformer:
         coefficients = fourier_coefficients(
             windows, self.word_length, self.drop_mean
         )
-        use_ig = self.binning == "information-gain" and labels is not None
-        if self.binning == "information-gain" and labels is None:
-            raise DataError("information-gain binning requires labels")
-        boundaries = np.empty((self.word_length, self.alphabet_size - 1))
-        for position in range(self.word_length):
-            column = coefficients[:, position]
-            if use_ig:
-                assert labels is not None
-                bins = _information_gain_boundaries(
-                    column, np.asarray(labels), self.alphabet_size
-                )
-            else:
-                bins = _equi_depth_boundaries(column, self.alphabet_size)
-            if bins.size < self.alphabet_size - 1:
-                padded = np.full(self.alphabet_size - 1, np.inf)
-                padded[: bins.size] = bins
-                bins = padded
-            boundaries[position] = bins
+        if self.binning == "information-gain":
+            if labels is None:
+                raise DataError("information-gain binning requires labels")
+            per_position = _information_gain_boundaries_per_column(
+                coefficients, np.asarray(labels), self.alphabet_size
+            )
+        else:
+            per_position = [
+                _equi_depth_boundaries(column, self.alphabet_size)
+                for column in coefficients.T
+            ]
+        boundaries = np.full((self.word_length, self.alphabet_size - 1), np.inf)
+        for position, bins in enumerate(per_position):
+            boundaries[position, : bins.size] = bins
         self.boundaries_ = boundaries
         return self
 

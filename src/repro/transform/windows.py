@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from ..exceptions import DataError
-from ..stats.distance import sliding_window_view
 
-__all__ = ["extract_windows", "prefix_lengths", "window_lengths"]
+__all__ = ["extract_windows", "prefix_lengths", "window_lengths", "window_matrix"]
 
 
 def extract_windows(
@@ -46,10 +45,26 @@ def extract_windows(
     n_series, length = series_matrix.shape
     if not 1 <= window <= length:
         raise DataError(f"window must be in [1, {length}], got {window}")
-    stacked = [sliding_window_view(row, window) for row in series_matrix]
-    n_positions = length - window + 1
-    owners = np.repeat(np.arange(n_series), n_positions)
-    return np.concatenate(stacked, axis=0), owners
+    owners = np.repeat(np.arange(n_series), length - window + 1)
+    return window_matrix(series_matrix, window), owners
+
+
+def window_matrix(series_matrix: np.ndarray, window: int) -> np.ndarray:
+    """All windows of all rows, stacked as :func:`extract_windows` does.
+
+    The unchecked core of :func:`extract_windows`: ``series_matrix`` must be
+    a 2-D float array with at least ``window`` columns. The windows are read
+    from one strided view of the whole matrix; ``as_strided`` is used rather
+    than ``sliding_window_view``, whose argument handling costs several
+    times more on the single-series calls of a streaming consult.
+    """
+    n_series, length = series_matrix.shape
+    row_stride, column_stride = series_matrix.strides
+    return np.lib.stride_tricks.as_strided(
+        series_matrix,
+        shape=(n_series, length - window + 1, window),
+        strides=(row_stride, column_stride, column_stride),
+    ).reshape(-1, window)
 
 
 def prefix_lengths(length: int, n_prefixes: int) -> list[int]:

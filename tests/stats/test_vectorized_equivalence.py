@@ -13,6 +13,14 @@ scored per node) must make exactly the decisions of the historical
 per-candidate ``information_gain`` loop and per-node argsort scan: equal
 boundaries, equal ``(feature, threshold)`` trees, bitwise-equal
 probabilities.
+Scoring every SFA word position in one batch must pick, position by
+position, the boundaries of that loop.
+
+The bag-of-patterns vocabulary and counts are built in numpy (first
+occurrence from ``np.unique``, ``searchsorted`` columns, one
+``bincount``); they must equal the historical per-token ``dict`` loops:
+the same vocabulary in the same insertion order and bitwise-equal counts,
+on the training series and on unseen ones.
 
 The OC-SVM box-simplex projection decides each bisection step from the
 sorted coordinates' prefix sums, falling back to numpy within a rounding
@@ -37,6 +45,7 @@ from repro.stats import svm
 from repro.stats.kmeans import KMeans
 from repro.stats.svm import OneClassSVM, _project_box_simplex
 from repro.stats.tree import DecisionTreeRegressor, _Node, _validate_matrix
+from repro.transform.bop import BagOfPatterns
 from repro.transform.sfa import (
     SFATransformer,
     _equi_depth_boundaries,
@@ -264,9 +273,11 @@ class TestSFABinningFromOneSort:
             [0.5 * (sorted_values[1:] + sorted_values[:-1]), sorted_values]
         )
         expected = [information_gain(column, labels, t) for t in thresholds]
-        assert np.array_equal(
-            _split_gains(sorted_values, labels[order], thresholds), expected
+        _, classes = np.unique(labels, return_inverse=True)
+        gains = _split_gains(
+            sorted_values[:, None], classes[order][:, None], [thresholds]
         )
+        assert np.array_equal(gains, expected)
 
     def test_many_candidates_many_classes_and_string_labels(self):
         rng = np.random.default_rng(3)
@@ -294,6 +305,189 @@ class TestSFABinningFromOneSort:
                 sfa.boundaries_[position],
                 _reference_ig_boundaries(coefficients[:, position], labels, 4),
             )
+
+
+def _sfa_windows(kind, n, width, rng):
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, width)).astype(float)
+    if kind == "constant":  # every coefficient column is constant
+        return np.repeat(rng.normal(size=(n, 1)), width, axis=1)
+    return rng.normal(size=(n, width)).cumsum(axis=1)
+
+
+def _labels(n, n_classes, as_strings, rng):
+    labels = rng.integers(0, n_classes, n)
+    if as_strings:
+        return np.asarray([f"c{label}" for label in labels])
+    return labels
+
+
+class TestSFAPositionsInOneBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 160),
+        width=st.integers(2, 24),
+        word_length=st.integers(1, 8),
+        alphabet_size=st.integers(2, 6),
+        n_classes=st.integers(1, 4),
+        as_strings=st.booleans(),
+        kind=st.sampled_from(["continuous", "ties", "constant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_position_matches_greedy_information_gain_loop(
+        self, n, width, word_length, alphabet_size, n_classes, as_strings,
+        kind, seed,
+    ):
+        # Narrow windows leave zero-padded (constant) coefficient columns.
+        rng = np.random.default_rng(seed)
+        windows = _sfa_windows(kind, n, width, rng)
+        labels = _labels(n, n_classes, as_strings, rng)
+        sfa = SFATransformer(word_length, alphabet_size).fit(windows, labels)
+        coefficients = fourier_coefficients(windows, word_length)
+        for position in range(word_length):
+            expected = np.full(alphabet_size - 1, np.inf)
+            reference = _reference_ig_boundaries(
+                coefficients[:, position], labels, alphabet_size
+            )
+            expected[: reference.size] = reference
+            assert np.array_equal(sfa.boundaries_[position], expected)
+
+
+def _reference_extract_windows(series_matrix, window):
+    """The historical windows: one strided view per row, concatenated."""
+    n_series, length = series_matrix.shape
+    stacked = [
+        np.lib.stride_tricks.sliding_window_view(row, window)
+        for row in series_matrix
+    ]
+    owners = np.repeat(np.arange(n_series), length - window + 1)
+    return np.concatenate(stacked, axis=0), owners
+
+
+def _reference_tokens(bag, word_sequence):
+    """The historical ``_emit_tokens``: one series' unigrams then bigrams."""
+    base = bag._sfa.vocabulary_size
+    if not bag.use_bigrams or word_sequence.size <= bag.window:
+        return word_sequence
+    left = word_sequence[: -bag.window]
+    right = word_sequence[bag.window :]
+    return np.concatenate([word_sequence, base + left * base + right])
+
+
+def _reference_bop_fit(bag, series_matrix, labels):
+    """The historical ``fit``: one ``dict`` insertion per new token."""
+    windows, owners = _reference_extract_windows(series_matrix, bag.window)
+    words = bag._sfa.fit_transform_words(windows, np.asarray(labels)[owners])
+    vocabulary = {}
+    for series_index in range(series_matrix.shape[0]):
+        for token in _reference_tokens(bag, words[owners == series_index]):
+            token = int(token)
+            if token not in vocabulary:
+                vocabulary[token] = len(vocabulary)
+    return vocabulary
+
+
+def _reference_bop_transform(bag, vocabulary, series_matrix):
+    """The historical ``transform``: ``counts[row, column] += 1.0`` per token."""
+    counts = np.zeros((series_matrix.shape[0], len(vocabulary)), dtype=float)
+    if series_matrix.shape[1] < bag.window:
+        return counts
+    windows, owners = _reference_extract_windows(series_matrix, bag.window)
+    words = bag._sfa.transform_words(windows)
+    for series_index in range(series_matrix.shape[0]):
+        for token in _reference_tokens(bag, words[owners == series_index]):
+            column = vocabulary.get(int(token))
+            if column is not None:
+                counts[series_index, column] += 1.0
+    return counts
+
+
+def _bop_series(kind, n, length, rng):
+    if kind == "ties":  # few distinct words: repeats and ties everywhere
+        return rng.integers(0, 3, size=(n, length)).astype(float)
+    if kind == "constant":
+        return np.full((n, length), rng.normal())
+    return rng.normal(size=(n, length)).cumsum(axis=1)
+
+
+BOP_CASE = dict(
+    n_series=st.integers(1, 6),
+    length=st.integers(1, 40),
+    window_fraction=st.floats(0.0, 1.0),
+    word_length=st.integers(1, 4),
+    alphabet_size=st.integers(2, 4),
+    use_bigrams=st.booleans(),
+    n_classes=st.integers(1, 3),
+    as_strings=st.booleans(),
+    kind=st.sampled_from(["continuous", "ties", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _assert_bop_matches_token_loops(
+    n_series, length, window, word_length, alphabet_size,
+    use_bigrams, n_classes, as_strings, kind, seed,
+):
+    rng = np.random.default_rng(seed)
+    series = _bop_series(kind, n_series, length, rng)
+    labels = _labels(n_series, n_classes, as_strings, rng)
+    params = dict(
+        window=window,
+        word_length=word_length,
+        alphabet_size=alphabet_size,
+        use_bigrams=use_bigrams,
+    )
+    bag = BagOfPatterns(**params)
+    counts = bag.fit_transform(series, labels)
+    reference = BagOfPatterns(**params)
+    vocabulary = _reference_bop_fit(reference, series, labels)
+    assert list(bag.vocabulary_.items()) == list(vocabulary.items())
+    expected = _reference_bop_transform(reference, vocabulary, series)
+    assert counts.dtype == expected.dtype and counts.shape == expected.shape
+    assert counts.tobytes() == expected.tobytes()
+    assert bag.transform(series).tobytes() == expected.tobytes()
+    # Unseen series, which carry unseen tokens, and single-series prefixes
+    # shorter than, equal to and just longer than the window.
+    unseen = [_bop_series(kind, int(rng.integers(1, 4)), length, rng) * 1.5]
+    unseen += [
+        rng.normal(size=(1, prefix)).cumsum(axis=1)
+        for prefix in (window - 1, window, window + 1)
+    ]
+    for matrix in unseen:
+        assert (
+            bag.transform(matrix).tobytes()
+            == _reference_bop_transform(reference, vocabulary, matrix).tobytes()
+        )
+
+
+def _with_window(window_fraction, **case):
+    """A case with a window from 1 to the whole series length."""
+    return dict(case, window=1 + int(window_fraction * (case["length"] - 1)))
+
+
+class TestBagOfPatternsCountsInNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(**BOP_CASE)
+    def test_vocabulary_and_counts_match_token_loops(self, **case):
+        _assert_bop_matches_token_loops(**_with_window(**case))
+
+    @pytest.mark.slow
+    @pytest.mark.conformance
+    @settings(max_examples=2000, deadline=None)
+    @given(**BOP_CASE)
+    def test_vocabulary_and_counts_match_token_loops_deep(self, **case):
+        _assert_bop_matches_token_loops(**_with_window(**case))
+
+    @pytest.mark.parametrize("use_bigrams", [False, True])
+    @pytest.mark.parametrize("length, window", [(12, 6), (12, 7), (12, 12), (20, 4)])
+    def test_bigram_boundary_and_unigram_only(self, length, window, use_bigrams):
+        # 12 - 6 + 1 = 7 positions > window: one bigram per series; with
+        # window 7 (6 positions) and 12 (1 position) there is none.
+        _assert_bop_matches_token_loops(
+            n_series=4, length=length, window=window,
+            word_length=3, alphabet_size=3, use_bigrams=use_bigrams,
+            n_classes=2, as_strings=False, kind="continuous", seed=window,
+        )
 
 
 def _reference_best_split_mse(column, targets, min_samples_leaf):

@@ -232,3 +232,20 @@ class TestBagOfPatterns:
     def test_transform_before_fit_rejected(self):
         with pytest.raises(NotFittedError):
             BagOfPatterns(window=4).transform(np.zeros((1, 10)))
+
+    @pytest.mark.parametrize("n_labels", [29, 31])
+    def test_fit_rejects_label_count_mismatch(self, rng, n_labels):
+        # Too few labels used to raise IndexError from the window-label
+        # gather; too many silently misaligned the window labels.
+        matrix, _ = self._matrix_and_labels(rng)
+        labels = np.asarray([0, 1] * 16)[:n_labels]
+        with pytest.raises(DataError, match="one label per series"):
+            BagOfPatterns(window=8).fit(matrix, labels)
+        with pytest.raises(DataError, match="one label per series"):
+            BagOfPatterns(window=8).fit_transform(matrix, labels)
+
+    def test_transform_rejects_one_dimensional_input(self, rng):
+        matrix, labels = self._matrix_and_labels(rng)
+        bag = BagOfPatterns(window=8).fit(matrix, labels)
+        with pytest.raises(DataError, match="2-D"):
+            bag.transform(matrix[0])

@@ -22,7 +22,6 @@ from .core import (
     AlgorithmRegistry,
     BenchmarkRunner,
     DatasetRegistry,
-    GridSearchETSC,
     StreamingDecision,
     StreamingSession,
     compare_algorithms,
@@ -64,7 +63,6 @@ __all__ = [
     "BenchmarkRunner",
     "RunReport",
     "canonical_categories",
-    "GridSearchETSC",
     "StreamingDecision",
     "StreamingSession",
     "compare_algorithms",

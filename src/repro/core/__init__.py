@@ -52,7 +52,6 @@ from .significance import (
 from .streaming import LatencySummary, StreamingDecision, StreamingSession
 from .runner import BenchmarkRunner, RunReport, aggregate_by_category
 from .timeouts import EvaluationTimeout, time_limit
-from .tuning import GridSearchETSC, parameter_grid
 from .voting import VotingEnsemble, wrap_for_dataset
 
 __all__ = [
@@ -91,8 +90,6 @@ __all__ = [
     "CheckpointWriter",
     "grid_fingerprint",
     "load_checkpoint",
-    "GridSearchETSC",
-    "parameter_grid",
     "grouped_bars",
     "heatmap",
     "horizontal_bars",

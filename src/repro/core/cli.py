@@ -54,7 +54,7 @@ import argparse
 import sys
 
 from .categorization import category_names
-from .registry import default_algorithms, default_datasets, extended_algorithms
+from .registry import default_algorithms, default_datasets
 from .runner import BenchmarkRunner
 
 __all__ = ["main", "build_parser", "merge_checkpoints_main"]
@@ -120,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--paper-params",
         action="store_true",
         help="use the full Table 4 parameters instead of the fast profile",
-    )
-    parser.add_argument(
-        "--extended",
-        action="store_true",
-        help="also run the extension algorithms (MORI-SR, FIXED-50)",
     )
     parser.add_argument(
         "--save-report",
@@ -277,10 +272,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         from ..obs.logging import configure_logging
 
         configure_logging(arguments.log_level or "INFO")
-    build_registry = (
-        extended_algorithms if arguments.extended else default_algorithms
-    )
-    algorithms = build_registry(fast=not arguments.paper_params)
+    algorithms = default_algorithms(fast=not arguments.paper_params)
     datasets = default_datasets(scale=arguments.scale, seed=arguments.seed)
 
     if arguments.list:
@@ -345,7 +337,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
             # fingerprint so --resume refuses a mismatched invocation.
             fingerprint_extra={
                 "scale": arguments.scale,
-                "extended": arguments.extended,
                 "paper_params": arguments.paper_params,
             },
         )

@@ -249,37 +249,6 @@ def default_algorithms(fast: bool = True) -> AlgorithmRegistry:
     return registry
 
 
-def extended_algorithms(fast: bool = True) -> AlgorithmRegistry:
-    """The default algorithms plus the framework extensions.
-
-    Adds MORI-SR (the stopping-rule method of the paper's reference [28],
-    listed among the approaches the framework plans to incorporate) and the
-    FIXED-50 fixed-prefix baseline.
-    """
-    from ..etsc.extensions import FixedPrefix, MoriSR
-
-    registry = default_algorithms(fast=fast)
-    registry.register(
-        "MORI-SR",
-        lambda: MoriSR(n_checkpoints=8 if fast else 20),
-        category="model-based",
-    )
-    registry.register(
-        "FIXED-50", lambda: FixedPrefix(fraction=0.5), category="baseline"
-    )
-    from ..etsc.sprt import SPRTClassifier
-
-    # Binary-class only: on multiclass datasets the runner records the
-    # incompatibility as a failure, exactly like any other unsupported case.
-    registry.register(
-        "SPRT",
-        lambda: SPRTClassifier(),
-        category="model-based",
-        supports_multivariate=True,
-    )
-    return registry
-
-
 def default_datasets(scale: float = 1.0, seed: int = 0) -> DatasetRegistry:
     """The paper's twelve datasets (synthetic stand-ins; see DESIGN.md).
 

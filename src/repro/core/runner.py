@@ -162,7 +162,6 @@ class RunReport:
         without a known observation frequency are skipped.
         """
         cells: dict[tuple[str, str], float | None] = {}
-        frequencies: dict[str, float] = {}
         for (algorithm, dataset), result in self.results.items():
             frequency = self._frequencies.get(dataset)
             if frequency is None or frequency <= 0:

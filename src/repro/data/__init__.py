@@ -1,6 +1,5 @@
-"""Data containers, preprocessing, augmentation, splitting, and file I/O."""
+"""Data containers, preprocessing, splitting, and file I/O."""
 
-from .augmentation import augment, jitter, scale, time_warp, window_slice
 from .dataset import TimeSeriesDataset
 from .io import (
     load_arff,
@@ -20,11 +19,6 @@ from .splits import stratified_indices, stratified_k_fold, train_test_split
 
 __all__ = [
     "TimeSeriesDataset",
-    "augment",
-    "jitter",
-    "scale",
-    "time_warp",
-    "window_slice",
     "LabelEncoder",
     "fill_missing",
     "fill_missing_array",

@@ -4,12 +4,8 @@ from .ecec import ECEC
 from .economy_k import EconomyK
 from .ects import ECTS
 from .edsc import EDSC, Shapelet
-from .extensions import FixedPrefix, MoriSR
-from .moo import ConfigurationPoint, MultiObjectiveETSC, pareto_front
-from .sprt import SPRTClassifier
 from .strut import STRUT, s_mini, s_mlstm, s_weasel
 from .teaser import TEASER
-from .tsmote import TSMOTEWrapper, temporal_smote
 
 __all__ = [
     "ECEC",
@@ -17,14 +13,6 @@ __all__ = [
     "ECTS",
     "EDSC",
     "Shapelet",
-    "FixedPrefix",
-    "MoriSR",
-    "ConfigurationPoint",
-    "MultiObjectiveETSC",
-    "pareto_front",
-    "TSMOTEWrapper",
-    "temporal_smote",
-    "SPRTClassifier",
     "STRUT",
     "s_mini",
     "s_mlstm",

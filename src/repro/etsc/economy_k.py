@@ -98,6 +98,8 @@ class EconomyK(EarlyClassifier):
         self._checkpoints: list[int] | None = None
         self._classifiers: dict[int, GradientBoostingClassifier] | None = None
         self._error_rates: np.ndarray | None = None  # (n_checkpoints, k)
+        # Answer for a prefix shorter than every trained checkpoint.
+        self._majority_label: int | None = None
 
     # ------------------------------------------------------------------
     # Training
@@ -173,6 +175,8 @@ class EconomyK(EarlyClassifier):
                 best = fitted
         assert best is not None
         self._kmeans, self._classifiers, self._error_rates, _ = best
+        values, counts = np.unique(dataset.labels, return_counts=True)
+        self._majority_label = int(values[counts.argmax()])
 
     # ------------------------------------------------------------------
     # Prediction
@@ -237,18 +241,15 @@ class EconomyK(EarlyClassifier):
                 if is_last or costs.argmin() == 0:
                     classifier = self._classifiers.get(checkpoint)
                     if classifier is None:
-                        # Prefix ladder trimmed by shorter test series: use
-                        # the longest trained checkpoint that fits.
-                        usable = [
-                            c for c in self._classifiers if c <= checkpoint
-                        ]
-                        classifier = self._classifiers[max(usable)]
-                        checkpoint_used = max(usable)
+                        # Shorter than the first checkpoint (every other
+                        # reachable length is one): a forced answer that
+                        # reads nothing of the prefix.
+                        assert self._majority_label is not None
+                        label = self._majority_label
                     else:
-                        checkpoint_used = checkpoint
-                    label = int(
-                        classifier.predict(row[None, :checkpoint_used])[0]
-                    )
+                        label = int(
+                            classifier.predict(row[None, :checkpoint])[0]
+                        )
                     decided = EarlyPrediction(
                         label=label,
                         prefix_length=checkpoint,

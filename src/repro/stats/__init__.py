@@ -22,7 +22,6 @@ from .metrics import (
     harmonic_mean,
     precision_recall_f1,
 )
-from .nearest import KNeighborsClassifier, nearest_neighbor_indices
 from .scaling import StandardScaler
 from .svm import OneClassSVM, rbf_kernel
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
@@ -51,8 +50,6 @@ __all__ = [
     "f1_score",
     "harmonic_mean",
     "precision_recall_f1",
-    "KNeighborsClassifier",
-    "nearest_neighbor_indices",
     "StandardScaler",
     "OneClassSVM",
     "rbf_kernel",

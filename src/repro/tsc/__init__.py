@@ -1,9 +1,8 @@
-"""Full time-series classification algorithms (WEASEL, MiniROCKET,
-MLSTM-FCN, and the interval-based extension)."""
+"""Full time-series classification algorithms (WEASEL, MiniROCKET and
+MLSTM-FCN)."""
 
-from .interval_forest import IntervalForest
 from .minirocket import MiniROCKET
 from .mlstm_fcn import MLSTMFCN
 from .weasel import WEASEL
 
-__all__ = ["WEASEL", "MiniROCKET", "MLSTMFCN", "IntervalForest"]
+__all__ = ["WEASEL", "MiniROCKET", "MLSTMFCN"]

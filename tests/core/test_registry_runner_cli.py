@@ -238,12 +238,21 @@ class TestCli:
 
 
 class TestCliExtras:
-    def test_extended_flag_lists_extensions(self):
+    def test_list_shows_exactly_the_default_algorithms(self):
         out = io.StringIO()
-        assert main(["--list", "--extended"], out=out) == 0
-        text = out.getvalue()
-        assert "MORI-SR" in text
-        assert "FIXED-50" in text
+        assert main(["--list"], out=out) == 0
+        lines = out.getvalue().splitlines()
+        listed = lines[1 : lines.index("datasets:")]
+        assert [line.split()[0] for line in listed] == [
+            info.name for info in default_algorithms()
+        ]
+        assert len(listed) == 8
+
+    def test_extended_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--list", "--extended"], out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "--extended" in capsys.readouterr().err
 
     def test_save_report_and_significance(self, tmp_path):
         out = io.StringIO()

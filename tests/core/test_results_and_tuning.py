@@ -1,6 +1,5 @@
-"""Tests for report persistence and hyperparameter tuning."""
+"""Tests for report persistence."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,9 +8,8 @@ from repro.core import (
     DatasetRegistry,
 )
 from repro.core.results import load_report, report_to_markdown, save_report
-from repro.core.tuning import GridSearchETSC, parameter_grid
-from repro.etsc import ECTS, TEASER
-from repro.exceptions import ConfigurationError, DataFormatError, NotFittedError
+from repro.etsc import ECTS
+from repro.exceptions import DataFormatError
 from tests.conftest import make_sinusoid_dataset
 
 
@@ -75,74 +73,3 @@ class TestReportPersistence:
             assert "--" in markdown
         finally:
             del small_report.failures[("GHOST", "PowerCons")]
-
-
-class TestParameterGrid:
-    def test_cartesian_product(self):
-        combinations = parameter_grid({"a": [1, 2], "b": ["x"]})
-        assert combinations == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_empty_grid_single_default(self):
-        assert parameter_grid({}) == [{}]
-
-    def test_empty_candidate_list_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parameter_grid({"a": []})
-
-    def test_non_sequence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parameter_grid({"a": 5})
-
-
-class TestGridSearchETSC:
-    def test_selects_and_refits(self):
-        dataset = make_sinusoid_dataset(40)
-        search = GridSearchETSC(
-            lambda **kw: ECTS(**kw),
-            {"support": [0, 1]},
-            n_folds=2,
-        )
-        search.fit(dataset)
-        assert search.best_params_ in ({"support": 0}, {"support": 1})
-        assert len(search.results_) == 2
-        predictions = search.predict(dataset)
-        assert len(predictions) == dataset.n_instances
-
-    def test_earliness_metric_minimised(self):
-        dataset = make_sinusoid_dataset(40)
-        search = GridSearchETSC(
-            lambda **kw: TEASER(n_prefixes=4, **kw),
-            {"consistency_grid": [(1,), (5,)]},
-            metric="earliness",
-            n_folds=2,
-        )
-        search.fit(dataset)
-        # v=1 fires earlier than v=5 (which always falls through to the
-        # final prefix), so the earliness-minimising search must pick it.
-        assert search.best_params_ == {"consistency_grid": (1,)}
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridSearchETSC(lambda **kw: ECTS(**kw), {}, metric="auc")
-
-    def test_predict_before_fit_rejected(self):
-        search = GridSearchETSC(lambda **kw: ECTS(**kw), {})
-        with pytest.raises(NotFittedError):
-            search.predict(make_sinusoid_dataset(10))
-
-    def test_untrainable_configuration_scores_worst(self):
-        dataset = make_sinusoid_dataset(30)
-
-        def factory(support=0):
-            if support < 0:
-                raise ConfigurationError("bad support")
-            return ECTS(support=support)
-
-        search = GridSearchETSC(factory, {"support": [-1, 0]}, n_folds=2)
-        search.fit(dataset)
-        assert search.best_params_ == {"support": 0}
-        scores = dict(
-            (tuple(params.items()), score)
-            for params, score in search.results_
-        )
-        assert scores[(("support", -1),)] == -np.inf

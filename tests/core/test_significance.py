@@ -85,12 +85,12 @@ class TestNemenyi:
 class TestCompareAlgorithms:
     def _report(self):
         from repro.core import AlgorithmRegistry, BenchmarkRunner, DatasetRegistry
-        from repro.etsc import ECTS, FixedPrefix
+        from repro.etsc import ECTS, TEASER
         from tests.conftest import make_sinusoid_dataset
 
         algorithms = AlgorithmRegistry()
         algorithms.register("ECTS", ECTS)
-        algorithms.register("FIXED", lambda: FixedPrefix(fraction=0.5))
+        algorithms.register("TEASER", lambda: TEASER(n_prefixes=4))
         datasets = DatasetRegistry()
         for seed in range(3):
             datasets.register(
@@ -104,7 +104,7 @@ class TestCompareAlgorithms:
     def test_full_analysis(self):
         report = compare_algorithms(self._report(), metric="accuracy")
         assert isinstance(report, SignificanceReport)
-        assert set(report.algorithms) == {"ECTS", "FIXED"}
+        assert set(report.algorithms) == {"ECTS", "TEASER"}
         assert len(report.average_ranks) == 2
         assert all(1.0 <= rank <= 2.0 for rank in report.average_ranks)
         markdown = report.to_markdown()

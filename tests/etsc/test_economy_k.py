@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.prediction import collect_predictions
+from repro.core.streaming import StreamingSession
 from repro.data import train_test_split
 from repro.etsc import EconomyK
 from repro.exceptions import ConfigurationError
@@ -90,3 +91,42 @@ class TestDecision:
         ).train(train)
         labels, _ = collect_predictions(model.predict(test))
         assert accuracy(test.labels, labels) > 0.7
+
+
+class TestShortPrefixes:
+    """A prefix shorter than the first checkpoint gets a forced answer."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        dataset = make_sinusoid_dataset(40)
+        model = EconomyK(n_clusters=2, n_checkpoints=5, n_estimators=5)
+        return model.train(dataset), dataset
+
+    def test_predict_one_is_defined_for_every_prefix_length(self, trained):
+        model, dataset = trained
+        first = model._checkpoints[0]
+        majority = np.bincount(dataset.labels).argmax()
+        row = dataset.values[0]
+        for length in range(1, dataset.length + 1):
+            prediction = model.predict_one(row[:, :length])
+            assert 1 <= prediction.prefix_length <= length
+            if length < first:
+                assert prediction.prefix_length == length
+                assert prediction.label == majority
+
+    def test_short_prefix_answer_reads_no_value(self, trained):
+        model, dataset = trained
+        short = model._checkpoints[0] - 1
+        for row in dataset.values[:5]:
+            assert model.predict_one(row[:, :short]) == model.predict_one(
+                -row[:, :short]
+            )
+
+    def test_stream_ended_before_the_first_checkpoint_finalizes(self, trained):
+        model, dataset = trained
+        session = StreamingSession(model, dataset.length)
+        for t in range(model._checkpoints[0] - 1):
+            assert session.push(dataset.values[0, :, t]) is None
+        decision = session.finalize()
+        assert decision.label == np.bincount(dataset.labels).argmax()
+        assert decision.decided_at == model._checkpoints[0] - 1

@@ -119,30 +119,12 @@ class TestSfaInternals:
 class TestStreamingEdge:
     def test_check_every_larger_than_length_forces_final_only(self):
         from repro.core import StreamingSession
-        from repro.etsc import FixedPrefix
+        from repro.etsc import TEASER
 
         dataset = make_sinusoid_dataset(20, length=10)
-        model = FixedPrefix(fraction=0.5).train(dataset)
+        model = TEASER(n_prefixes=4).train(dataset)
         session = StreamingSession(model, 10, check_every=99)
         decision = session.run(dataset.values[0])
         assert decision.decided_at == 10
         assert len(session.push_latencies) == 1
 
-
-class TestVotingWithExtensions:
-    def test_sprt_in_extended_grid_records_multiclass_failure(self):
-        from repro.core import BenchmarkRunner, DatasetRegistry
-        from repro.core.registry import extended_algorithms
-
-        datasets = DatasetRegistry()
-        datasets.register(
-            "tri", lambda: make_sinusoid_dataset(24, n_classes=3, name="tri")
-        )
-        runner = BenchmarkRunner(
-            extended_algorithms(), datasets, n_folds=2
-        )
-        report = runner.run(
-            algorithm_names=["SPRT"], dataset_names=["tri"]
-        )
-        assert ("SPRT", "tri") in report.failures
-        assert "binary" in report.failures[("SPRT", "tri")]

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.prediction import collect_predictions
 from repro.data import TimeSeriesDataset
-from repro.etsc import ECTS, FixedPrefix
+from repro.etsc import ECTS
 from repro.stats import earliness, harmonic_mean
 
 
@@ -60,15 +59,32 @@ class TestECTSInvariants:
 
 
 class TestMetricConsistency:
-    @given(small_datasets(), st.floats(0.1, 1.0))
-    @settings(max_examples=12, deadline=None)
-    def test_fixed_prefix_earliness_matches_fraction(self, dataset, fraction):
-        model = FixedPrefix(fraction=fraction).train(dataset)
-        _, prefixes = collect_predictions(model.predict(dataset))
-        expected = max(1, int(round(fraction * dataset.length)))
-        assert (prefixes == expected).all()
-        measured = earliness(prefixes, dataset.length)
-        assert measured == pytest.approx(expected / dataset.length)
+    @given(st.integers(1, 64), st.floats(0.1, 1.0), st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_prefix_earliness_matches_fraction(
+        self, length, fraction, n_predictions
+    ):
+        expected = max(1, int(round(fraction * length)))
+        prefixes = np.full(n_predictions, expected)
+        measured = earliness(prefixes, length)
+        assert measured == pytest.approx(expected / length)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 64), st.integers(1, 64)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_earliness_is_the_mean_observed_fraction(self, pairs):
+        prefixes = [min(pair) for pair in pairs]
+        lengths = [max(pair) for pair in pairs]
+        measured = earliness(prefixes, lengths)
+        assert 0.0 < measured <= 1.0
+        assert measured == pytest.approx(
+            np.mean([p / n for p, n in zip(prefixes, lengths)])
+        )
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,5 @@
-"""Tests for the tabular classifiers: k-NN, logistic regression, trees,
-gradient boosting."""
+"""Tests for the tabular classifiers: logistic regression, trees, gradient
+boosting."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from repro.stats import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     GradientBoostingClassifier,
-    KNeighborsClassifier,
     LogisticRegression,
     accuracy,
-    nearest_neighbor_indices,
     softmax,
 )
 
@@ -45,46 +43,6 @@ class TestSoftmax:
         probabilities = softmax(np.asarray([[1000.0, 0.0]]))
         assert np.isfinite(probabilities).all()
         assert probabilities[0, 0] == pytest.approx(1.0)
-
-
-class TestKNN:
-    def test_memorises_training_data(self, rng):
-        features, labels = _linearly_separable(rng)
-        model = KNeighborsClassifier(1).fit(features, labels)
-        np.testing.assert_array_equal(model.predict(features), labels)
-
-    def test_k3_majority_vote(self):
-        features = np.asarray([[0.0], [0.1], [0.2], [5.0]])
-        labels = np.asarray([0, 0, 1, 1])
-        model = KNeighborsClassifier(3).fit(features, labels)
-        assert model.predict(np.asarray([[0.05]]))[0] == 0
-
-    def test_kneighbors_returns_sorted_distances(self, rng):
-        features, labels = _linearly_separable(rng, n=20)
-        model = KNeighborsClassifier(5).fit(features, labels)
-        distances, _ = model.kneighbors(rng.normal(size=(3, 4)))
-        assert (np.diff(distances, axis=1) >= -1e-12).all()
-
-    def test_nearest_neighbor_indices_excludes_self(self, rng):
-        rows = rng.normal(size=(10, 3))
-        nn = nearest_neighbor_indices(rows)
-        assert all(nn[i] != i for i in range(10))
-
-    def test_nearest_neighbor_indices_bruteforce(self, rng):
-        rows = rng.normal(size=(8, 2))
-        nn = nearest_neighbor_indices(rows)
-        for i in range(8):
-            distances = np.linalg.norm(rows - rows[i], axis=1)
-            distances[i] = np.inf
-            assert nn[i] == distances.argmin()
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(NotFittedError):
-            KNeighborsClassifier().predict(np.zeros((1, 2)))
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(DataError):
-            KNeighborsClassifier(0)
 
 
 class TestLogisticRegression:

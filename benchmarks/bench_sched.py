@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Scheduler harness: LPT vs FIFO makespan, plus shard/steal equivalence.
 
-Times the cost-model LPT dispatch against plain FIFO submission on a
-deliberately skewed synthetic grid — many short datasets plus one long
-dataset registered *last*, the worst case for FIFO (the long cell starts
-after everything else and extends the makespan by nearly its full
-duration). Cell cost is dominated by a ``time.sleep`` proportional to
-the cost model's own prefix-based heuristic (quadratic in training-set
-size), so the comparison isolates scheduling policy from core count:
+Times the pool's largest-dataset-first submission (LPT, since cost here
+grows with dataset size) against plain FIFO submission on a deliberately
+skewed synthetic grid — many short datasets plus one long dataset
+registered *last*, the worst case for FIFO (the long cell starts after
+everything else and extends the makespan by nearly its full duration).
+Cell cost is dominated by a ``time.sleep`` quadratic in training-set
+size, so the comparison isolates scheduling policy from core count:
 sleeps overlap across pool workers even on a single-core runner.
 
 The same grid then exercises checkpoint shards end to end: a two-shard
@@ -34,6 +34,7 @@ baseline, or one without the LPT row, is a failure, not a pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -54,12 +55,8 @@ from repro.core import (
     RunReport,
     merge_checkpoint_states,
 )
-from repro.core.sched import (
-    CellEstimate,
-    CostModel,
-    load_shard_checkpoints,
-    report_from_state,
-)
+from repro.core import runner as runner_module
+from repro.core.sched import load_shard_checkpoints, report_from_state
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _harness import make_benchmark_dataset  # noqa: E402
@@ -67,9 +64,9 @@ from _harness import make_benchmark_dataset  # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_SCHED.json"
 
-# Per-_train stall in seconds per (training instances)^2 — the same
-# quadratic the cost model's prefix-based heuristic assumes, so the
-# synthetic grid is exactly the workload LPT is calibrated for. With
+# Per-_train stall in seconds per (training instances)^2, the cost of
+# an all-pairs prefix method. The long dataset is the largest, so the
+# pool's largest-dataset-first order is the LPT order here. With
 # 2-fold CV a short dataset (25 instances, ~12 per training split)
 # costs ~0.1 s per cell and the long dataset (75 instances) ~0.9 s.
 _STALL_PER_SQUARED_INSTANCE = 3.2e-4
@@ -130,15 +127,19 @@ def _skewed_registries() -> tuple[AlgorithmRegistry, DatasetRegistry]:
     return algorithms, datasets
 
 
-class _FlatCostModel(CostModel):
-    """Estimates every cell alike: ``lpt_order`` then keeps canonical
-    (FIFO) submission order, the baseline LPT is measured against."""
+@contextlib.contextmanager
+def _fifo_submission():
+    """Make the pool submit in canonical (FIFO) order, the baseline LPT
+    is measured against, by replacing the runner's size sort."""
+    sort = runner_module.largest_dataset_first
+    runner_module.largest_dataset_first = lambda cells, sizes: list(cells)
+    try:
+        yield
+    finally:
+        runner_module.largest_dataset_first = sort
 
-    def estimate(self, algorithm, dataset, shape=None, category="miscellaneous"):
-        return CellEstimate(algorithm, dataset, 1.0, "heuristic")
 
-
-def _run_grid(**runner_kwargs) -> tuple[float, RunReport]:
+def _run_grid() -> tuple[float, RunReport]:
     algorithms, datasets = _skewed_registries()
     runner = BenchmarkRunner(
         algorithms,
@@ -146,7 +147,6 @@ def _run_grid(**runner_kwargs) -> tuple[float, RunReport]:
         n_folds=2,
         seed=0,
         workers=_WORKERS,
-        **runner_kwargs,
     )
     start = time.perf_counter()
     report = runner.run()
@@ -179,7 +179,8 @@ def _report_view(report: RunReport) -> dict:
 def _makespan_benchmarks(repeats: int, ops: dict) -> None:
     fifo_samples, lpt_samples = [], []
     for _ in range(repeats):
-        elapsed, _ = _run_grid(cost_model=_FlatCostModel())
+        with _fifo_submission():
+            elapsed, _ = _run_grid()
         fifo_samples.append(elapsed)
         elapsed, _ = _run_grid()
         lpt_samples.append(elapsed)

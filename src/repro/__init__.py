@@ -16,9 +16,20 @@ Quick start::
 The public API re-exports the framework core (interfaces, evaluation,
 registries), the eight evaluated algorithms, the three full time-series
 classifiers, the dataset container, and the Section 2.2 metrics.
+
+Importing the package limits BLAS to one thread per process (before
+numpy loads it) unless the caller set the variable: the grid's pool
+workers and fleet shards are already one process per core, and a
+multi-threaded BLAS in each oversubscribes the machine.
 """
 
-from .core import (
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
+
+from .core import (  # noqa: E402
     AlgorithmRegistry,
     BenchmarkRunner,
     DatasetRegistry,

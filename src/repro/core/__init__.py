@@ -33,13 +33,9 @@ from .resilience import (
 from .pool import available_cores
 from .results import load_report, report_to_markdown, save_report
 from .sched import (
-    CellEstimate,
     ClaimBoard,
-    CostModel,
     ShardSpec,
-    lpt_order,
     merge_checkpoint_states,
-    partition_cells,
     resolve_workers,
 )
 from .significance import (
@@ -101,13 +97,9 @@ __all__ = [
     "StreamingDecision",
     "StreamingSession",
     "LatencySummary",
-    "CellEstimate",
     "ClaimBoard",
-    "CostModel",
     "ShardSpec",
     "available_cores",
-    "lpt_order",
     "merge_checkpoint_states",
-    "partition_cells",
     "resolve_workers",
 ]

@@ -107,8 +107,9 @@ class CheckpointState:
     categories: dict[str, DatasetCategories] = field(default_factory=dict)
     frequencies: dict[str, float] = field(default_factory=dict)
     #: Per-cell ``{"wall_seconds": ..., "cpu_seconds": ...}`` (whichever
-    #: of the two the row carried). Seeds the scheduler's cost model on
-    #: resume; empty for checkpoints written before the fields existed.
+    #: of the two the row carried), kept when a resumed or merged state
+    #: is rewritten; empty for checkpoints written before the fields
+    #: existed.
     timings: dict[tuple[str, str], dict[str, float]] = field(
         default_factory=dict
     )
@@ -299,9 +300,9 @@ class CheckpointWriter:
     ) -> None:
         """Record one successfully evaluated cell.
 
-        The optional wall/CPU timings seed the scheduler's cost model on
-        ``--resume``; omitted fields are omitted from the row, so files
-        stay loadable by older readers (unknown keys are ignored).
+        The optional wall/CPU timings record what the cell cost; omitted
+        fields are omitted from the row, so files stay loadable by older
+        readers (unknown keys are ignored).
         """
         record = {
             "type": "cell",

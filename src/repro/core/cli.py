@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 1 = serial), or 'auto' to match the cores this "
             "process may actually use (sched_getaffinity; clamps to 1 "
             "on a 1-core box instead of oversubscribing); cells start "
-            "longest-estimated first, and results and checkpoints are "
+            "largest dataset first, and results and checkpoints are "
             "committed in canonical order, identical to a serial run"
         ),
     )
@@ -210,11 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I/N",
         default=None,
         help=(
-            "run only the I-th of N cost-balanced bins of the grid "
+            "run only cells I, I+N, I+2N, ... of the canonical grid "
             "(0-based, e.g. 0/2); requires --checkpoint DIR, a directory "
-            "shared by all shards — each writes shard-I.jsonl there and "
-            "steals unclaimed cells from idle siblings; combine with "
-            "'etsc-bench merge-checkpoints DIR' for the canonical report"
+            "shared by all shards — each writes shard-I.jsonl there, "
+            "claims its whole bin before running it, and then steals the "
+            "cells no sibling has claimed (the bin of a shard that never "
+            "started); combine with 'etsc-bench merge-checkpoints DIR' "
+            "for the canonical report"
         ),
     )
     parser.add_argument(

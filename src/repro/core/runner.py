@@ -26,17 +26,17 @@ Every run goes through one plan -> dispatch -> commit pipeline:
   and the cells left to run become a *plan*: the ordered list of cells
   to commit. A plain run plans the pending grid in canonical order
   (dataset-major, registry algorithm order). ``shard="i/n"`` (with a
-  checkpoint *directory*) plans the cells of its cost-balanced bin it
-  could claim, then a second plan of unclaimed cells stolen from
-  sibling bins (see :mod:`repro.core.sched` and ``etsc-bench
-  merge-checkpoints``). Only a run that schedules — ``workers > 1`` or
-  a shard — loads its datasets up front and carries per-cell cost
-  estimates; a serial run makes none and emits no ``sched_*`` events.
+  checkpoint *directory*) claims its round-robin bin ``cells[i::n]``
+  and plans the cells it could claim, largest dataset first, then a
+  second plan of cells no sibling has claimed (see
+  :mod:`repro.core.sched` and ``etsc-bench merge-checkpoints``). Only a
+  run that schedules — ``workers > 1`` or a shard — loads its datasets
+  up front; a serial run emits no ``sched_*`` events.
 * **Dispatch.** By default each cell executes in-process when the
   commit loop reaches it, so a serial run loads a dataset only when it
   gets there. With ``workers > 1`` and at least two cells pending, the
   plan's cells are submitted to a fork-based ``ProcessPoolExecutor``
-  longest-estimated-first (LPT): workers inherit the loaded datasets,
+  largest dataset first: workers inherit the loaded datasets,
   run the same attempt loop on a private tracer, and ship the outcome
   plus serialised spans back. If the pool breaks (a worker died hard),
   the affected cells re-run in the parent. ``workers="auto"`` sizes the
@@ -87,14 +87,11 @@ from .resilience import (
     format_traceback,
 )
 from .sched import (
-    CellEstimate,
     ClaimBoard,
-    CostModel,
     ShardSpec,
     claims_directory,
     find_shard_checkpoints,
-    lpt_order,
-    partition_cells,
+    largest_dataset_first,
     resolve_workers,
     shard_checkpoint_path,
     write_canonical_checkpoint,
@@ -234,12 +231,12 @@ class _CellOutcome:
 class _Plan:
     """The cells one dispatch commits, in commit order.
 
-    ``estimates`` is set only when the run schedules (a pool or a shard);
+    ``scheduled`` is set only when the run schedules (a pool or a shard);
     only then are ``sched_cell`` events and ``sched.*`` metrics recorded.
     """
 
     cells: list[tuple[str, str]]
-    estimates: dict[tuple[str, str], CellEstimate] | None = None
+    scheduled: bool = False
     stolen: bool = False
 
 
@@ -258,6 +255,11 @@ class _Grid:
     load_failures: dict[str, tuple[str, str, int]] = field(
         default_factory=dict
     )
+
+
+def _dataset_sizes(grid: _Grid) -> dict[str, int]:
+    """``{dataset: n x V x L}`` of the loaded datasets, the start-order key."""
+    return {name: data.values.size for name, data in grid.datasets.items()}
 
 
 #: Fork-inherited state for pool workers. Registries hold closures (not
@@ -352,25 +354,20 @@ class BenchmarkRunner:
         (:func:`repro.core.pool.available_cores` — clamps to 1 on a
         1-core box instead of oversubscribing). Requires the ``fork``
         start method (silently degrades to serial where unavailable).
-        Cells are submitted longest-estimated-first; results, checkpoint
+        Cells are submitted largest dataset first; results, checkpoint
         lines, and report contents are committed in plan order,
         identical to a serial run.
     shard:
         ``"i/n"`` (or a :class:`repro.core.sched.ShardSpec`) runs only
-        the ``i``-th of ``n`` cost-balanced bins of the grid, writing to
+        the cells ``i, i+n, i+2n, ...`` of the canonical grid, writing to
         ``<checkpoint_path>/shard-i.jsonl`` — ``checkpoint_path`` must
-        then be a *directory* shared by all shards. An idle shard steals
-        unclaimed cells from its siblings (disable with
+        then be a *directory* shared by all shards. A shard that drains
+        its bin steals the cells no sibling has claimed (disable with
         ``shard_steal=False``). Shard runs resume implicitly from their
         own file; ``resume_from`` is rejected.
     shard_steal:
         Whether a shard that drains its own bin steals unclaimed,
         uncompleted cells from sibling bins (default ``True``).
-    cost_model:
-        The :class:`repro.core.sched.CostModel` estimating per-cell
-        durations, which sets the pool's dispatch order. A fresh one is
-        created when omitted; resume seeds it with the checkpoint's
-        recorded wall timings either way.
 
     Tracing is picked up from the process-wide tracer
     (:func:`repro.obs.trace.get_tracer`) at :meth:`run` time; per-cell
@@ -397,14 +394,12 @@ class BenchmarkRunner:
         workers: int | str = 1,
         shard: str | ShardSpec | None = None,
         shard_steal: bool = True,
-        cost_model: CostModel | None = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         if isinstance(shard, str):
             shard = ShardSpec.parse(shard)
         self.shard = shard
         self.shard_steal = shard_steal
-        self.cost_model = cost_model or CostModel()
         if shard is not None:
             if checkpoint_path is None:
                 raise ConfigurationError(
@@ -484,7 +479,6 @@ class BenchmarkRunner:
             report.categories.update(state.categories)
             report._frequencies.update(state.frequencies)
             completed = state.completed_keys()
-            self._seed_cost_model(state)
             _logger.info(
                 "resuming from %s: %d cells already complete "
                 "(%d results, %d failures)",
@@ -505,19 +499,6 @@ class BenchmarkRunner:
             path, fingerprint, append=state is not None
         )
         return writer, completed
-
-    def _seed_cost_model(self, state) -> None:
-        """Feed a resumed checkpoint's recorded wall timings to the model."""
-        seeded = 0
-        for (algorithm, dataset), timings in state.timings.items():
-            wall = timings.get("wall_seconds")
-            if wall is not None:
-                self.cost_model.record(algorithm, dataset, wall)
-                seeded += 1
-        if seeded:
-            _logger.info(
-                "cost model seeded with %d measured cell timings", seeded
-            )
 
     def run(
         self,
@@ -617,16 +598,10 @@ class BenchmarkRunner:
         # exactly once, here, before any worker starts.
         for dataset_name in dict.fromkeys(name for _, name in pending):
             self._load(grid, dataset_name)
-        plan = _Plan(pending, self._cell_estimates(pending, grid.datasets))
         grid.span.add_event(
-            "sched_plan",
-            n_cells=len(pending),
-            workers=grid.workers,
-            estimated_total_seconds=sum(
-                est.seconds for est in plan.estimates.values()
-            ),
+            "sched_plan", n_cells=len(pending), workers=grid.workers
         )
-        return plan
+        return _Plan(pending, scheduled=True)
 
     def _shard_plans(
         self,
@@ -646,31 +621,15 @@ class BenchmarkRunner:
         assert shard is not None
         grid.span.set_attribute("shard", str(shard))
         # Load every dataset once: any bin's cells may execute here
-        # (stealing), and the partition heuristic needs the shapes.
+        # (stealing), and the start order reads their sizes.
         for dataset_name in dict.fromkeys(name for _, name in cells):
             self._load(grid, dataset_name)
-        # Partition on the *pure heuristic* over the full grid — never
-        # on recorded history — so every shard, whatever it has resumed
-        # or measured, derives identical bins. (Should shards still
-        # disagree — say a transient load failure hid a shape from one —
-        # the claim board keeps each cell single-run; only balance
-        # suffers.)
-        heuristics = {
-            (algorithm_name, dataset_name): self.cost_model.heuristic(
-                grid.datasets[dataset_name].values.shape
-                if dataset_name in grid.datasets
-                else None,
-                self.algorithms.get(algorithm_name).category,
-            )
-            for algorithm_name, dataset_name in cells
-        }
-        own_bin = partition_cells(cells, heuristics, shard.count)[shard.index]
-        # Dispatch order may use the full cost model (history-calibrated);
-        # only the partition must stay history-free.
-        estimates = self._cell_estimates(cells, grid.datasets)
-        seconds = {key: est.seconds for key, est in estimates.items()}
+        sizes = _dataset_sizes(grid)
+        own_bin = shard.bin(cells)
         todo = set(pending)
-        runnable = lpt_order([key for key in own_bin if key in todo], seconds)
+        runnable = largest_dataset_first(
+            [key for key in own_bin if key in todo], sizes
+        )
         claims = ClaimBoard(claims_directory(own_path.parent), shard.owner)
         claimed = [key for key in runnable if claims.claim(*key)]
         grid.span.add_event(
@@ -679,28 +638,28 @@ class BenchmarkRunner:
             workers=grid.workers,
             shard=str(shard),
             bin_cells=len(own_bin),
-            estimated_total_seconds=sum(seconds[key] for key in claimed),
         )
         if len(claimed) < len(runnable):
             _logger.info(
                 "shard %s: %d own-bin cells already claimed by siblings",
                 shard, len(runnable) - len(claimed),
             )
-        yield _Plan(claimed, estimates)
+        yield _Plan(claimed, scheduled=True)
         if not self.shard_steal:
             return
         # Steal phase: everything outside our bin that nobody has
-        # completed or claimed, longest first — the point of stealing is
-        # to absorb a straggler sibling's expensive tail.
+        # completed or claimed. A started sibling claims its whole bin
+        # before running any of it, so this takes over only the bins of
+        # siblings that never started or died before claiming.
         own = set(own_bin)
         sibling_done = self._sibling_completed(own_path, fingerprint)
-        candidates = lpt_order(
+        candidates = largest_dataset_first(
             [
                 key
                 for key in pending
                 if key not in own and key not in sibling_done
             ],
-            seconds,
+            sizes,
         )
         stolen = [
             key
@@ -715,7 +674,7 @@ class BenchmarkRunner:
             _logger.info(
                 "shard %s stealing %d unclaimed cells", shard, len(stolen)
             )
-        yield _Plan(stolen, estimates, stolen=True)
+        yield _Plan(stolen, scheduled=True, stolen=True)
 
     def _sibling_completed(
         self, own_path: Path, fingerprint: dict
@@ -736,28 +695,6 @@ class BenchmarkRunner:
             done |= state.completed_keys()
         return done
 
-    def _cell_estimates(
-        self,
-        cells: list[tuple[str, str]],
-        datasets: dict[str, TimeSeriesDataset],
-    ) -> dict[tuple[str, str], CellEstimate]:
-        """Estimate every cell's duration (attaching loaded shapes)."""
-        estimates: dict[tuple[str, str], CellEstimate] = {}
-        for algorithm_name, dataset_name in cells:
-            dataset = datasets.get(dataset_name)
-            shape = dataset.values.shape if dataset is not None else None
-            if shape is not None:
-                self.cost_model.attach_shape(dataset_name, shape)
-            estimates[(algorithm_name, dataset_name)] = (
-                self.cost_model.estimate(
-                    algorithm_name,
-                    dataset_name,
-                    shape,
-                    self.algorithms.get(algorithm_name).category,
-                )
-            )
-        return estimates
-
     # ------------------------------------------------------------------
     # Dispatch and commit.
 
@@ -766,7 +703,7 @@ class BenchmarkRunner:
 
         In-process, a cell executes when the commit loop reaches it. With
         ``workers > 1`` and at least two loaded cells, those cells are
-        all submitted to a fork pool up front, longest estimate first
+        all submitted to a fork pool up front, largest dataset first
         (the pool starts cells in submission order); the commit loop
         then waits on each in plan order, so the artifacts cannot
         observe the schedule.
@@ -777,10 +714,6 @@ class BenchmarkRunner:
         if grid.workers > 1:
             poolable = [key for key in plan.cells if key[1] in grid.datasets]
             if len(poolable) > 1:
-                assert plan.estimates is not None
-                seconds = {
-                    key: est.seconds for key, est in plan.estimates.items()
-                }
                 _WORKER_STATE = {"runner": self, "datasets": grid.datasets}
                 executor = ProcessPoolExecutor(
                     max_workers=min(grid.workers, len(poolable)),
@@ -788,7 +721,9 @@ class BenchmarkRunner:
                 )
                 futures = {
                     key: executor.submit(_evaluate_cell_worker, key)
-                    for key in lpt_order(poolable, seconds)
+                    for key in largest_dataset_first(
+                        poolable, _dataset_sizes(grid)
+                    )
                 }
         completion = self.metrics.gauge("grid_completion")
         try:
@@ -844,18 +779,13 @@ class BenchmarkRunner:
                 algorithm_name, dataset_name, dataset, grid.tracer
             )
         self._commit_outcome(grid, outcome)
-        if plan.estimates is not None:
-            estimate = plan.estimates[key]
+        if plan.scheduled:
             emit(
                 self.metrics,
                 "sched_cell",
                 algorithm=algorithm_name,
                 dataset=dataset_name,
-                estimate_seconds=estimate.seconds,
                 actual_seconds=outcome.elapsed,
-                error_pct=abs(outcome.elapsed - estimate.seconds)
-                / max(estimate.seconds, 1e-9) * 100.0,
-                source=estimate.source,
                 stolen=plan.stolen,
             )
 
@@ -1058,11 +988,6 @@ class BenchmarkRunner:
         """Record a cell outcome everywhere it must appear (parent only)."""
         algorithm_name, dataset_name = outcome.algorithm, outcome.dataset
         report, checkpoint = grid.report, grid.checkpoint
-        # Feed the measurement back so later estimates for this cell (and
-        # this algorithm's calibration factor) come from reality.
-        self.cost_model.record(
-            algorithm_name, dataset_name, outcome.elapsed
-        )
         result = outcome.result
         timeout = outcome.kind == TIMEOUT
         emit(

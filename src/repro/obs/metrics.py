@@ -285,7 +285,6 @@ EVENT_METRICS: dict[str, Callable[[dict], dict[str, Any]]] = {
     "sched_cell": lambda a: {
         "sched.cells_scheduled": 1,
         "sched.steals": a.get("stolen", False),
-        "sched.estimate_error_pct": a["error_pct"],
     },
     # Guarded streaming sessions (repro.serve.session).
     "rejected_point": _count("serve.rejected_points"),
@@ -318,9 +317,7 @@ EVENT_METRICS: dict[str, Callable[[dict], dict[str, Any]]] = {
 }
 
 #: The table's instruments that are timer histograms.
-TIMERS = frozenset(
-    {"cell_seconds", "sched.estimate_error_pct", "slo.response_seconds"}
-)
+TIMERS = frozenset({"cell_seconds", "slo.response_seconds"})
 
 
 def emit(

@@ -1,160 +1,157 @@
-"""Unit coverage for the cost-model scheduler (repro.core.sched).
+"""Unit coverage for the grid scheduler (repro.core.sched).
 
-The determinism contracts matter more than the numbers: estimates,
-LPT order, and shard partitions must be pure functions of their inputs
-(so every shard of a split grid independently agrees), and the live
-``sched.*`` instruments must be exactly recomputable from a trace.
+The determinism contracts matter more than the numbers: the start order
+and the shard bins must be pure functions of their inputs (so every
+shard of a split grid independently agrees), and the live ``sched.*``
+instruments must be exactly recomputable from a trace.
 """
 
 import json
-import time
+from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pool import available_cores
 from repro.core.sched import (
-    CellEstimate,
     ClaimBoard,
-    CostModel,
     ShardSpec,
     claims_directory,
     find_shard_checkpoints,
-    lpt_order,
-    partition_cells,
+    largest_dataset_first,
     resolve_workers,
     shard_checkpoint_path,
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import metrics_from_spans
 from repro.obs.trace import Tracer, use_tracer
-
-from tests.core.test_parallel import _registries, frozen_clock  # noqa: F401
-
-
-class TestCostModel:
-    def test_heuristic_monotone_in_instances(self):
-        model = CostModel()
-        small = model.heuristic((25, 1, 60), "prefix-based")
-        large = model.heuristic((75, 1, 60), "prefix-based")
-        assert large > small
-        # prefix-based scales quadratically in instances: 3x -> 9x.
-        assert large == pytest.approx(small * 9.0)
-
-    def test_heuristic_category_profiles_differ(self):
-        model = CostModel()
-        shape = (50, 1, 100)
-        prefix = model.heuristic(shape, "prefix-based")
-        shapelet = model.heuristic(shape, "shapelet-based")
-        baseline = model.heuristic(shape, "baseline")
-        assert shapelet > prefix > baseline
-
-    def test_unknown_category_and_shape_fall_back(self):
-        model = CostModel()
-        assert model.heuristic(None, "prefix-based") > 0
-        assert model.heuristic((10, 1, 10), "never-heard-of-it") > 0
-
-    def test_measured_beats_calibrated_beats_heuristic(self):
-        model = CostModel()
-        model.attach_shape("small", (25, 1, 60))
-        model.attach_shape("big", (75, 1, 60))
-        cold = model.estimate("ECTS", "big", (75, 1, 60), "prefix-based")
-        assert cold.source == "heuristic"
-        model.record("ECTS", "small", 0.5)
-        calibrated = model.estimate(
-            "ECTS", "big", (75, 1, 60), "prefix-based"
-        )
-        assert calibrated.source == "calibrated"
-        # The calibration factor scales the big dataset's heuristic by
-        # the observed measured/heuristic ratio on the small one: the
-        # quadratic instance ratio (9x) carries over from 0.5s.
-        assert calibrated.seconds == pytest.approx(4.5)
-        model.record("ECTS", "big", 2.0)
-        measured = model.estimate("ECTS", "big", (75, 1, 60), "prefix-based")
-        assert measured.source == "measured"
-        assert measured.seconds == pytest.approx(2.0)
-
-    def test_calibration_is_per_algorithm(self):
-        model = CostModel()
-        model.attach_shape("d", (30, 1, 50))
-        model.record("SLOW", "d", 10.0)
-        other = model.estimate("FAST", "e", (30, 1, 50), "prefix-based")
-        assert other.source == "heuristic"  # SLOW's history stays SLOW's
-
-    def test_estimates_are_deterministic(self):
-        def build():
-            model = CostModel()
-            model.record("A", "d1", 1.5, shape=(20, 1, 40))
-            model.record("A", "d2", 3.0, shape=(40, 1, 40))
-            return model.estimate("A", "d3", (60, 1, 40), "prefix-based")
-
-        assert build() == build()
+from tests.conftest import make_sinusoid_dataset
+from tests.core.test_parallel import _Fast, _registries, frozen_clock  # noqa: F401
 
 
 class TestLptOrder:
+    """The start order: largest dataset first, canonical order on ties."""
+
     CELLS = [("A", "d0"), ("B", "d0"), ("A", "d1"), ("B", "d1")]
 
     def test_longest_first_with_canonical_tiebreak(self):
-        seconds = {
-            ("A", "d0"): 1.0,
-            ("B", "d0"): 5.0,
-            ("A", "d1"): 1.0,
-            ("B", "d1"): 3.0,
-        }
-        assert lpt_order(self.CELLS, seconds) == [
-            ("B", "d0"), ("B", "d1"), ("A", "d0"), ("A", "d1"),
+        cells = self.CELLS + [("A", "d2"), ("B", "d2")]
+        sizes = {"d0": 100, "d1": 300, "d2": 100}
+        assert largest_dataset_first(cells, sizes) == [
+            ("A", "d1"), ("B", "d1"),
+            ("A", "d0"), ("B", "d0"), ("A", "d2"), ("B", "d2"),
         ]
 
     def test_equal_estimates_preserve_fifo(self):
-        seconds = {cell: 1.0 for cell in self.CELLS}
-        assert lpt_order(self.CELLS, seconds) == self.CELLS
+        sizes = {"d0": 7, "d1": 7}
+        assert largest_dataset_first(self.CELLS, sizes) == self.CELLS
 
     def test_missing_estimates_sort_last(self):
-        seconds = {("A", "d1"): 2.0}
-        order = lpt_order(self.CELLS, seconds)
-        assert order[0] == ("A", "d1")
-        assert order[1:] == [("A", "d0"), ("B", "d0"), ("B", "d1")]
+        order = largest_dataset_first(self.CELLS, {"d1": 2})
+        assert order == [("A", "d1"), ("B", "d1"), ("A", "d0"), ("B", "d0")]
+
+
+_CANONICAL_GRIDS = st.tuples(
+    st.lists(st.sampled_from("ABCDEFGH"), unique=True, max_size=5),
+    st.integers(min_value=0, max_value=12),
+).map(
+    lambda grid: [
+        (algorithm, f"d{index}")
+        for index in range(grid[1])
+        for algorithm in grid[0]
+    ]
+)
 
 
 class TestPartition:
+    """Shard ``i/n`` owns ``cells[i::n]`` of the canonical grid."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=_CANONICAL_GRIDS, count=st.integers(1, 8))
+    def test_round_robin_bins_partition_the_grid(self, cells, count):
+        bins = [ShardSpec(index, count).bin(cells) for index in range(count)]
+        combined = [cell for shard_bin in bins for cell in shard_bin]
+        assert sorted(combined) == sorted(cells)
+        for shard_bin in bins:
+            indices = [cells.index(cell) for cell in shard_bin]
+            assert indices == sorted(indices)
+        sizes = [len(shard_bin) for shard_bin in bins]
+        assert max(sizes) - min(sizes) <= 1
+
     def test_bins_cover_and_do_not_overlap(self):
         cells = [(a, f"d{i}") for i in range(5) for a in ("A", "B")]
-        seconds = {cell: float(i) for i, cell in enumerate(cells)}
-        bins = partition_cells(cells, seconds, 3)
-        assert sum(len(b) for b in bins) == len(cells)
+        bins = [ShardSpec(index, 3).bin(cells) for index in range(3)]
+        assert bins == [cells[0::3], cells[1::3], cells[2::3]]
         combined = [cell for b in bins for cell in b]
         assert set(combined) == set(cells)
-        assert len(set(combined)) == len(cells)
+        assert len(combined) == len(cells)
 
     def test_bins_keep_canonical_order(self):
         cells = [("A", "d0"), ("B", "d0"), ("A", "d1"), ("B", "d1")]
-        seconds = {cell: 1.0 for cell in cells}
-        for shard_bin in partition_cells(cells, seconds, 2):
-            indices = [cells.index(cell) for cell in shard_bin]
-            assert indices == sorted(indices)
-
-    def test_long_cell_isolated(self):
-        cells = [("A", "d0"), ("A", "d1"), ("A", "d2"), ("A", "d3")]
-        seconds = {
-            ("A", "d0"): 1.0,
-            ("A", "d1"): 1.0,
-            ("A", "d2"): 10.0,
-            ("A", "d3"): 1.0,
-        }
-        bins = partition_cells(cells, seconds, 2)
-        # The 10s cell lands alone; the three 1s cells share the other bin.
-        assert [("A", "d2")] in bins
-        assert sorted(len(b) for b in bins) == [1, 3]
-
-    def test_partition_is_deterministic_and_history_free(self):
-        cells = [(a, f"d{i}") for i in range(7) for a in ("X", "Y", "Z")]
-        seconds = {cell: (hash(cell[1]) % 7) + 1.0 for cell in cells}
-        assert partition_cells(cells, seconds, 4) == partition_cells(
-            cells, seconds, 4
-        )
+        assert ShardSpec(0, 2).bin(cells) == [("A", "d0"), ("A", "d1")]
+        assert ShardSpec(1, 2).bin(cells) == [("B", "d0"), ("B", "d1")]
 
     def test_invalid_shard_count(self):
         with pytest.raises(ConfigurationError):
-            partition_cells([], {}, 0)
+            ShardSpec(0, 0)
+
+
+class _RecordingPool:
+    """Stands in for the fork pool: runs each cell at submission and
+    records the submission order."""
+
+    submitted: list = []
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def submit(self, function, key):
+        type(self).submitted.append(key)
+        future = Future()
+        future.set_result(function(key))
+        return future
+
+    def shutdown(self, wait, cancel_futures):
+        pass
+
+
+class TestPoolStartOrder:
+    def test_pool_submits_largest_dataset_first(self, monkeypatch):
+        from repro.core import AlgorithmRegistry, BenchmarkRunner, DatasetRegistry
+        from repro.core import runner as runner_module
+
+        algorithms = AlgorithmRegistry()
+        algorithms.register("FAST", _Fast)
+        algorithms.register("ALSO", _Fast)
+        datasets = DatasetRegistry()
+        # values.size = n x V x L: a 360, b 720, c 360, d 720.
+        for name, shape in {
+            "a": (12, 1, 30), "b": (12, 2, 30),
+            "c": (24, 1, 15), "d": (12, 1, 60),
+        }.items():
+            datasets.register(
+                name,
+                lambda name=name, shape=shape: make_sinusoid_dataset(
+                    shape[0], length=shape[2], n_variables=shape[1], name=name
+                ),
+            )
+        monkeypatch.setattr(_RecordingPool, "submitted", [])
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _RecordingPool)
+        report = BenchmarkRunner(
+            algorithms, datasets, n_folds=2, seed=0, workers=2
+        ).run()
+        assert _RecordingPool.submitted == [
+            (algorithm, dataset)
+            for dataset in ("b", "d", "a", "c")
+            for algorithm in ("FAST", "ALSO")
+        ]
+        # Commitment stays canonical whatever the start order.
+        assert list(report.results) == [
+            (algorithm, dataset)
+            for dataset in ("a", "b", "c", "d")
+            for algorithm in ("FAST", "ALSO")
+        ]
 
 
 class TestShardSpec:
@@ -301,10 +298,7 @@ class TestSchedTelemetry:
         assert live["sched.cells_scheduled"] == 6  # 2 algorithms x 3 datasets
         assert rollup["sched.cells_scheduled"] == 6
         assert rollup.get("sched.steals", 0) == live.get("sched.steals", 0)
-        assert (
-            rollup["sched.estimate_error_pct"]
-            == live["sched.estimate_error_pct"]
-        )
+        assert not any(name.startswith("sched.estimate") for name in live)
 
     def test_grid_span_carries_sched_plan(self, frozen_clock):  # noqa: F811
         from repro.core import BenchmarkRunner
@@ -319,7 +313,17 @@ class TestSchedTelemetry:
         grid = [s for s in tracer.finished_spans() if s.name == "grid"][0]
         plans = [e for e in grid.events if e["name"] == "sched_plan"]
         assert len(plans) == 1
-        assert plans[0]["attributes"]["n_cells"] == 6
+        assert plans[0]["attributes"] == {"n_cells": 6, "workers": 2}
+        cells = [
+            event["attributes"]
+            for span in tracer.finished_spans()
+            for event in span.events
+            if event["name"] == "sched_cell"
+        ]
+        assert len(cells) == 6
+        assert set(cells[0]) == {
+            "algorithm", "dataset", "actual_seconds", "stolen",
+        }
 
     def test_serial_runs_emit_no_sched_events(self, frozen_clock):  # noqa: F811
         from repro.core import BenchmarkRunner
@@ -381,24 +385,3 @@ class TestCheckpointTimings:
         state = load_checkpoint(path)
         assert ("A", "d") in state.failures
         assert state.timings == {}
-
-    def test_resume_seeds_cost_model(self, tmp_path, monkeypatch):
-        from repro.core import BenchmarkRunner
-
-        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
-        monkeypatch.setattr(time, "process_time", lambda: 0.0)
-        algorithms, datasets = _registries()
-        checkpoint = tmp_path / "cp.jsonl"
-        first = BenchmarkRunner(
-            algorithms, datasets, n_folds=2, seed=0,
-            checkpoint_path=checkpoint,
-        )
-        first.run()
-        algorithms2, datasets2 = _registries()
-        resumed = BenchmarkRunner(
-            algorithms2, datasets2, n_folds=2, seed=0,
-            resume_from=checkpoint,
-        )
-        resumed.run()
-        # Every checkpointed cell's wall timing fed the model.
-        assert resumed.cost_model.n_observations == 6

@@ -183,8 +183,8 @@ SAMPLE_EVENTS = {
         {"status": "failed", "seconds": 0.0},
     ],
     "sched_cell": [
-        {"error_pct": 12.5, "stolen": False},
-        {"error_pct": 40.0, "stolen": True},
+        {"actual_seconds": 1.5, "stolen": False},
+        {"actual_seconds": 4.0, "stolen": True},
     ],
     "breaker_transition": [
         {"from_state": "closed", "to_state": "open", "reason": "x"},
@@ -250,5 +250,5 @@ class TestCounterTable:
 
     def test_zero_amounts_create_no_counter(self):
         registry = MetricsRegistry()
-        emit(registry, "sched_cell", error_pct=1.0, stolen=False)
+        emit(registry, "sched_cell", actual_seconds=1.0, stolen=False)
         assert "sched.steals" not in registry.snapshot()

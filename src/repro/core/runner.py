@@ -726,13 +726,17 @@ class BenchmarkRunner:
                     )
                 }
         completion = self.metrics.gauge("grid_completion")
+        completed = False
         try:
             for key in plan.cells:
                 self._commit_cell(grid, plan, key, futures.get(key))
                 completion.set(grid.telemetry.fraction_done)
+            completed = True
         finally:
             if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+                # Every future was consumed: join the workers so none
+                # outlives the run. On an error, drop the queued cells.
+                executor.shutdown(wait=completed, cancel_futures=not completed)
                 _WORKER_STATE = None
 
     def _commit_cell(

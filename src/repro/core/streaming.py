@@ -202,7 +202,10 @@ class StreamingSession:
         self.check_every = check_every
         # The session owns its stream's consult state; the model is shared.
         self._stream = classifier.open_stream()
-        self._buffer: list[np.ndarray] = []
+        # Accepted points fill the columns in order; a consult reads the
+        # observed columns as one view, without copying them.
+        self._values = np.empty((classifier.trained_variables, series_length))
+        self._n_observed = 0
         self._decision: StreamingDecision | None = None
         self._ended = False
         self.push_latencies: list[float] = []
@@ -211,7 +214,13 @@ class StreamingSession:
     @property
     def n_observed(self) -> int:
         """Number of time-points pushed so far."""
-        return len(self._buffer)
+        return self._n_observed
+
+    @property
+    def observed(self) -> np.ndarray:
+        """The ``(n_variables, n_observed)`` prefix observed so far (a
+        view of the session's buffer)."""
+        return self._values[:, : self._n_observed]
 
     @property
     def decision(self) -> StreamingDecision | None:
@@ -234,8 +243,13 @@ class StreamingSession:
         """
         return self._stream.consult(values)
 
+    def _observe(self, point: np.ndarray) -> None:
+        """Append one accepted point to the observed prefix."""
+        self._values[:, self._n_observed] = point
+        self._n_observed += 1
+
     def _consult(self) -> None:
-        prediction = self._predict_prefix(np.stack(self._buffer, axis=-1))
+        prediction = self._predict_prefix(self.observed)
         # The classifier treats the observed prefix as a complete series
         # and *forces* a decision at its last point. A commitment exactly
         # at the prefix end is therefore ambiguous (genuine rule-fire vs
@@ -307,8 +321,7 @@ class StreamingSession:
         """
         if self.n_observed >= self.series_length:
             raise DataError("stream already received its full series")
-        point = self._coerce_point(point)
-        self._buffer.append(point)
+        self._observe(self._coerce_point(point))
         if self._decision is not None:
             return self._decision
         due = (
@@ -329,7 +342,7 @@ class StreamingSession:
         """
         if self._decision is not None:
             return self._decision
-        if not self._buffer:
+        if not self._n_observed:
             raise DataError("cannot finalize a stream with no observations")
         self._ended = True
         self._timed_consult()

@@ -17,6 +17,11 @@ matches within its threshold (using only windows that fit in the observed
 prefix), its class fires. If nothing matches by the full length, the class
 of the proportionally closest shapelet is returned.
 
+A serving stream keeps, per shapelet, its best window distance and its
+earliest match so far (:meth:`EDSC.open_stream`), so a consult scores only
+the windows that end in the newly observed points instead of rescanning
+the whole prefix.
+
 Exhaustive EDSC enumerates every subsequence of every training series for
 every length in ``[min_length, max_length]`` — the ``O(N^2 L^3)`` cost of
 Table 5, which the paper found intractable for 'Wide' datasets (48-hour
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.base import EarlyClassifier
+from ..core.base import ClassifierStream, EarlyClassifier
 from ..core.prediction import EarlyPrediction
 from ..data.dataset import TimeSeriesDataset
 from ..exceptions import ConfigurationError
@@ -250,18 +255,11 @@ class EDSC(EarlyClassifier):
             earliest = np.zeros((0, n_series), dtype=int)
         predictions: list[EarlyPrediction] = []
         for i in range(n_series):
-            fire_at = earliest[:, i]
-            matching = np.flatnonzero(fire_at > 0)
-            if matching.size:
-                best_t = int(fire_at[matching].min())
-                # Ties resolve to the first shapelet in selection order —
-                # the order the per-prefix loop consulted them in.
-                winner = usable[
-                    int(matching[np.argmax(fire_at[matching] == best_t)])
-                ]
+            winner = _earliest_match(earliest[:, i])
+            if winner is not None:
                 decided = EarlyPrediction(
-                    label=winner.label,
-                    prefix_length=best_t,
+                    label=usable[winner].label,
+                    prefix_length=int(earliest[winner, i]),
                     series_length=length,
                 )
             else:
@@ -275,17 +273,98 @@ class EDSC(EarlyClassifier):
 
     def _nearest_shapelet_label(self, row: np.ndarray) -> int:
         """Fallback: class of the proportionally closest shapelet."""
+        return self._closest_label(
+            [
+                _best_match_distances(shapelet.pattern, row[None, :])[0]
+                if shapelet.length <= len(row)
+                else np.inf
+                for shapelet in self.shapelets_ or []
+            ]
+        )
+
+    def _closest_label(self, distances) -> int:
+        """Class of the shapelet with the smallest distance-to-threshold
+        ratio, given each shapelet's best-match distance (``inf`` for a
+        shapelet longer than the prefix); the training majority class when
+        no ratio is finite."""
         assert self._fallback_label is not None
         best_ratio = np.inf
         best_label = self._fallback_label
-        for shapelet in self.shapelets_ or []:
-            if shapelet.length > len(row):
-                continue
-            distance = _best_match_distances(
-                shapelet.pattern, row[None, :]
-            )[0]
+        for shapelet, distance in zip(self.shapelets_ or [], distances):
             ratio = distance / max(shapelet.threshold, 1e-12)
             if ratio < best_ratio:
                 best_ratio = ratio
                 best_label = shapelet.label
         return best_label
+
+    def open_stream(self) -> "_EDSCStream":
+        return _EDSCStream(self)
+
+
+def _earliest_match(fire_at: np.ndarray) -> int | None:
+    """Index of the shapelet with the earliest match end (0 = no match),
+    or ``None`` when none matched.
+
+    Ties resolve to the first shapelet in selection order — the order the
+    per-prefix loop consulted them in.
+    """
+    matching = np.flatnonzero(fire_at > 0)
+    if not matching.size:
+        return None
+    best_t = fire_at[matching].min()
+    return int(matching[np.argmax(fire_at[matching] == best_t)])
+
+
+class _EDSCStream(ClassifierStream):
+    """Running shapelet matches of one stream.
+
+    Per shapelet the stream keeps its minimum window distance and its
+    earliest match end (0 = no match yet). A consult scores only the
+    windows that end in the newly observed points, then answers as
+    :meth:`EDSC._predict` does on the whole prefix: the earliest match
+    fires, else the ratio rule on the minima decides at the prefix end.
+    Rescoring windows leaves both unchanged, so a consult cut short leaves
+    a state the next consult completes.
+    """
+
+    def __init__(self, classifier: EDSC) -> None:
+        super().__init__(classifier)
+        n_shapelets = len(classifier.shapelets_)
+        self._minima = np.full(n_shapelets, np.inf)
+        self._match_ends = np.zeros(n_shapelets, dtype=int)
+        self._matched = False  # set before the first match end is written
+        self._scored = 0  # prefix length whose windows are all scored
+
+    def consult(self, prefix: np.ndarray) -> EarlyPrediction:
+        row = self._univariate(prefix)[0]
+        t = row.size
+        model = self.classifier
+        for index, shapelet in enumerate(model.shapelets_):
+            width = shapelet.length
+            first_end = max(self._scored + 1, width)
+            if first_end > t:
+                continue
+            distances = sliding_window_distances(
+                shapelet.pattern, row[first_end - width : t][None, :]
+            )[0]
+            self._minima[index] = np.minimum(
+                self._minima[index], distances.min()
+            )
+            if not self._match_ends[index]:
+                hits = distances <= shapelet.threshold
+                if hits.any():
+                    self._matched = True
+                    self._match_ends[index] = first_end + hits.argmax()
+        self._scored = max(self._scored, t)
+        winner = _earliest_match(self._match_ends) if self._matched else None
+        if winner is not None:
+            return EarlyPrediction(
+                label=model.shapelets_[winner].label,
+                prefix_length=int(self._match_ends[winner]),
+                series_length=t,
+            )
+        return EarlyPrediction(
+            label=model._closest_label(self._minima),
+            prefix_length=t,
+            series_length=t,
+        )

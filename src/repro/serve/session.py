@@ -38,6 +38,7 @@ per stream.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -210,15 +211,20 @@ class GuardedStreamingSession(StreamingSession):
         if breaker is not None:
             # Chain (not replace) any caller-installed transition hook so
             # trips/recoveries always reach the span events and counters.
+            # The hook holds the session weakly: a strong reference would
+            # close a session -> breaker -> session cycle that keeps a
+            # finished session and its consult records until a full GC.
             previous = breaker.on_transition
-            breaker.on_transition = (
-                self._on_breaker_transition
-                if previous is None
-                else lambda old, new, reason: (
-                    previous(old, new, reason),
-                    self._on_breaker_transition(old, new, reason),
-                )
-            )
+            session_hook = weakref.WeakMethod(self._on_breaker_transition)
+
+            def on_transition(old: str, new: str, reason: str) -> None:
+                if previous is not None:
+                    previous(old, new, reason)
+                hook = session_hook()
+                if hook is not None:
+                    hook(old, new, reason)
+
+            breaker.on_transition = on_transition
 
     # ------------------------------------------------------------------
     @classmethod
@@ -339,7 +345,7 @@ class GuardedStreamingSession(StreamingSession):
             return self._decision
         if outcome.repaired:
             emit(self.metrics, "sanitized_point", push_index=index)
-        self._buffer.append(outcome.point)
+        self._observe(outcome.point)
         if self._decision is not None:
             return self._decision
         due = (
@@ -358,7 +364,7 @@ class GuardedStreamingSession(StreamingSession):
 
     def _end_of_stream(self) -> None:
         """The last delivered point was dropped: force a final decision."""
-        if self._decision is None and self._buffer:
+        if self._decision is None and self.n_observed:
             self._ended = True
             self._timed_consult()
         self._report_stream()

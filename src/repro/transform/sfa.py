@@ -60,6 +60,16 @@ def fourier_coefficients(
 
 
 def _equi_depth_boundaries(column: np.ndarray, n_bins: int) -> np.ndarray:
+    first = column[0]
+    if (
+        (column == first).all()
+        and np.isfinite(first)
+        and (first != 0 or not np.signbit(column).any())
+    ):
+        # np.quantile interpolates a constant column to the constant. A
+        # -0.0 may come out as either zero and an infinity as NaN, so
+        # those columns keep the general path.
+        return np.full(n_bins - 1, first)
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     return np.quantile(column, quantiles)
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..exceptions import DataError
+from ..stats.backends.numpy_backend import strided_windows
 
 __all__ = ["extract_windows", "prefix_lengths", "window_lengths", "window_matrix"]
 
@@ -54,17 +55,9 @@ def window_matrix(series_matrix: np.ndarray, window: int) -> np.ndarray:
 
     The unchecked core of :func:`extract_windows`: ``series_matrix`` must be
     a 2-D float array with at least ``window`` columns. The windows are read
-    from one strided view of the whole matrix; ``as_strided`` is used rather
-    than ``sliding_window_view``, whose argument handling costs several
-    times more on the single-series calls of a streaming consult.
+    from one strided view of the whole matrix (:func:`strided_windows`).
     """
-    n_series, length = series_matrix.shape
-    row_stride, column_stride = series_matrix.strides
-    return np.lib.stride_tricks.as_strided(
-        series_matrix,
-        shape=(n_series, length - window + 1, window),
-        strides=(row_stride, column_stride, column_stride),
-    ).reshape(-1, window)
+    return strided_windows(series_matrix, window).reshape(-1, window)
 
 
 def prefix_lengths(length: int, n_prefixes: int) -> list[int]:

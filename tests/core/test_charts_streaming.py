@@ -308,3 +308,21 @@ class TestStreamingSession:
         session = StreamingSession(ensemble, dataset.length)
         decision = session.run(dataset.values[0])
         assert decision.label in dataset.classes
+
+    def test_consults_see_the_pushed_points_in_order(self, trained):
+        classifier, dataset = trained
+        seen = []
+        session = StreamingSession(classifier, dataset.length)
+        consult = session._stream.consult
+        session._stream.consult = lambda prefix: (
+            seen.append(prefix.copy()) or consult(prefix)
+        )
+        row = dataset.values[1]
+        for t in range(5):
+            session.push(row[:, t])
+            np.testing.assert_array_equal(session.observed, row[:, : t + 1])
+        assert seen
+        lengths = [prefix.shape[1] for prefix in seen]
+        assert lengths == list(range(1, len(seen) + 1))
+        for prefix in seen:
+            np.testing.assert_array_equal(prefix, row[:, : prefix.shape[1]])

@@ -8,6 +8,7 @@ inherit the patch, making every timing field deterministic.
 """
 
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -269,6 +270,12 @@ class TestSpanStitching:
         assert names["cell"].span_id != records[1]["span_id"]
         assert [span.name for span in forwarded[-2:]] == ["fold", "cell"]
         assert names["cell"].attributes == {"algorithm": "A"}
+
+
+class TestPoolLifecycle:
+    def test_workers_are_joined_when_run_returns(self, tmp_path):
+        _run(tmp_path, 2, "joined")
+        assert multiprocessing.active_children() == []
 
 
 class TestConfiguration:

@@ -1,6 +1,9 @@
 """Tests for the guarded streaming session: guard, deadline, breaker,
 fallback, and chaos injection — all deterministic, zero real delays."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,28 @@ class TestBreakerIntegration:
         session.push(0.0)
         assert seen  # caller hook still fired
         assert session.metrics.snapshot()["serve.breaker_trips"] == 1
+
+    def test_finished_session_freed_without_cycle_collection(self, trained):
+        # The breaker holds its session weakly, so a finished session (and
+        # its consult records) goes as soon as its last reference does.
+        classifier, dataset = trained
+        seen = []
+        breaker = CircuitBreaker(
+            failure_threshold=1, on_transition=lambda *a: seen.append(a)
+        )
+        gc.disable()
+        try:
+            session = make_session(trained, breaker=breaker)
+            session.run(dataset.values[0])
+            assert session.consult_records
+            freed = weakref.ref(session)
+            del session
+            assert freed() is None
+        finally:
+            gc.enable()
+        # A breaker that outlives its session still reaches other hooks.
+        breaker.record_failure("after the session")
+        assert [transition[1] for transition in seen] == ["open"]
 
 
 class TestChaosInjection:

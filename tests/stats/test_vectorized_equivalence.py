@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from repro.stats.backends import get_backend
 from repro.stats.boosting import GradientBoostingClassifier
 from repro.stats.distance import pairwise_squared_euclidean
 from repro.stats.feature_selection import information_gain
@@ -801,3 +802,69 @@ class TestBoxSimplexProjectionFromBreakpoints:
             model.decision_function(probe).tobytes()
             == reference.decision_function(probe).tobytes()
         )
+
+
+def _seed_sliding_window(pattern, matrix):
+    """The seed window-matching kernel, built on ``sliding_window_view``."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        matrix, pattern.size, axis=1
+    )
+    differences = windows - pattern[None, None, :]
+    return np.sqrt(np.einsum("nij,nij->ni", differences, differences))
+
+
+class TestSlidingWindowFromOneStridedView:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_rows=st.integers(1, 6),
+        length=st.integers(1, 60),
+        width_share=st.floats(0.0, 1.0),
+        layout=st.sampled_from(["c", "fortran", "column-slice", "row-step"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distances_bitwise_equal_sliding_window_view(
+        self, n_rows, length, width_share, layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        width = 1 + int(width_share * (length - 1))
+        base = rng.normal(size=(2 * n_rows, length + 3)) * 10.0
+        matrix = {
+            "c": base[:n_rows, :length],
+            "fortran": np.asfortranarray(base[:n_rows, :length]),
+            "column-slice": base[:n_rows, 3:],
+            "row-step": base[::2, :length],
+        }[layout]
+        pattern = rng.normal(size=width)
+        got = get_backend("numpy").sliding_window(pattern, matrix)
+        expected = _seed_sliding_window(pattern, matrix)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def _seed_equi_depth_boundaries(column, n_bins):
+    """The seed form: ``np.quantile`` on every column."""
+    return np.quantile(column, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+
+
+class TestEquiDepthConstantColumns:
+    VALUES = [-0.0, 0.0, 1.5, -3.0, 1e308, 5e-324, np.inf, -np.inf, np.nan]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        n_bins=st.integers(2, 8),
+        values=st.lists(st.sampled_from(VALUES), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boundaries_bitwise_equal_np_quantile(
+        self, n, n_bins, values, seed
+    ):
+        # Constant columns (of either zero, or mixed zeros) take the
+        # shortcut; np.quantile turns some -0.0 into +0.0 and infinities
+        # into NaN, so the signs are compared as well as the values.
+        column = np.random.default_rng(seed).choice(values, n)
+        with np.errstate(invalid="ignore"):
+            expected = _seed_equi_depth_boundaries(column, n_bins)
+            got = _equi_depth_boundaries(column, n_bins)
+        np.testing.assert_array_equal(got, expected)
+        assert (np.signbit(got) == np.signbit(expected)).all()

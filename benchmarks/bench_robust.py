@@ -37,6 +37,7 @@ import platform
 import sys
 from pathlib import Path
 
+from repro.core.categorization import scaled_thresholds
 from repro.core.registry import default_algorithms, default_datasets
 from repro.robustness import CorruptionSpec, run_robustness
 
@@ -64,6 +65,7 @@ _AUC_EPSILON = 0.05  # absolute floor so tiny baselines stay gateable
 
 
 def _run_grid():
+    wide_threshold, large_threshold = scaled_thresholds(SCALE)
     report = run_robustness(
         default_algorithms(fast=True),
         default_datasets(scale=SCALE, seed=SEED),
@@ -73,8 +75,8 @@ def _run_grid():
         dataset_names=DATASETS,
         n_folds=FOLDS,
         seed=SEED,
-        wide_threshold=max(2, int(1300 * SCALE)),
-        large_threshold=max(2, int(1000 * SCALE)),
+        wide_threshold=wide_threshold,
+        large_threshold=large_threshold,
     )
     print(report.render())
     return report.deterministic_dict()

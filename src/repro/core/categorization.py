@@ -21,6 +21,7 @@ are exposed as module constants so alternative groupings can be explored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..data.dataset import TimeSeriesDataset
 
@@ -29,6 +30,8 @@ __all__ = [
     "categorize",
     "category_names",
     "canonical_categories",
+    "categories_from_names",
+    "scaled_thresholds",
     "PAPER_TABLE3",
     "WIDE_LENGTH_THRESHOLD",
     "LARGE_HEIGHT_THRESHOLD",
@@ -112,11 +115,9 @@ PAPER_TABLE3: dict[str, tuple[str, ...]] = {
 }
 
 
-def canonical_categories(name: str) -> DatasetCategories | None:
-    """Table 3 category flags for one of the paper's datasets, else None."""
-    names = PAPER_TABLE3.get(name)
-    if names is None:
-        return None
+def categories_from_names(names: Iterable[str]) -> DatasetCategories:
+    """Rebuild a :class:`DatasetCategories` from its flag-name list."""
+    names = set(names)
     return DatasetCategories(
         wide="Wide" in names,
         large="Large" in names,
@@ -126,6 +127,24 @@ def canonical_categories(name: str) -> DatasetCategories | None:
         common="Common" in names,
         univariate="Univariate" in names,
         multivariate="Multivariate" in names,
+    )
+
+
+def canonical_categories(name: str) -> DatasetCategories | None:
+    """Table 3 category flags for one of the paper's datasets, else None."""
+    names = PAPER_TABLE3.get(name)
+    return None if names is None else categories_from_names(names)
+
+
+def scaled_thresholds(scale: float) -> tuple[int, int]:
+    """The (wide, large) thresholds scaled with a reduced-size grid.
+
+    Generated datasets shrink with ``scale``, so the length/height
+    thresholds shrink with them (never below 2).
+    """
+    return (
+        max(2, int(WIDE_LENGTH_THRESHOLD * scale)),
+        max(2, int(LARGE_HEIGHT_THRESHOLD * scale)),
     )
 
 

@@ -40,9 +40,9 @@ from typing import IO, Any
 
 from ..exceptions import CheckpointError, CheckpointMismatchError
 from ..obs.logging import get_logger
-from .categorization import DatasetCategories
+from .categorization import DatasetCategories, categories_from_names
 from .evaluation import EvaluationResult
-from .results import categories_from_names, fold_from_dict, fold_to_dict
+from .results import fold_from_dict, fold_to_dict
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -53,11 +53,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .categorization import category_names
+from ..exceptions import CheckpointError, ConfigurationError
+from ..obs.events import traced_run
+from ..obs.logging import configure_cli_logging
+from .categorization import category_names, scaled_thresholds
 from .registry import default_algorithms, default_datasets
 from .runner import BenchmarkRunner
 
-__all__ = ["main", "build_parser", "merge_checkpoints_main"]
+__all__ = [
+    "main",
+    "build_parser",
+    "add_grid_arguments",
+    "grid_runner_options",
+    "merge_checkpoints_main",
+]
 
 
 def _workers_argument(text: str):
@@ -72,20 +81,13 @@ def _workers_argument(text: str):
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="etsc-bench",
-        description=(
-            "Evaluate early time-series classification algorithms "
-            "(EDBT 2024 framework reproduction)"
-        ),
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="list registered algorithms and datasets, then exit",
-    )
+def add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the flags every cross-validated grid command shares.
+
+    ``etsc-bench`` and ``etsc-bench robustness`` both drive a
+    :class:`BenchmarkRunner`; :func:`grid_runner_options` turns these
+    flags into its keywords.
+    """
     parser.add_argument(
         "--algorithms",
         nargs="*",
@@ -110,28 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--folds", type=int, default=5, help="cross-validation folds"
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=float("inf"),
-        help="per-pair time budget (the paper used 48 hours)",
-    )
-    parser.add_argument(
-        "--paper-params",
-        action="store_true",
-        help="use the full Table 4 parameters instead of the fast profile",
-    )
-    parser.add_argument(
-        "--save-report",
-        metavar="PATH",
-        default=None,
-        help="write the raw campaign results to a JSON file",
-    )
-    parser.add_argument(
-        "--significance",
-        action="store_true",
-        help="print Friedman/Nemenyi average-rank analysis of the run",
-    )
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -174,6 +154,86 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
+        "--workers",
+        type=_workers_argument,
+        default=1,
+        metavar="N",
+        help=(
+            "evaluate up to N grid cells in parallel worker processes "
+            "(default 1 = serial), or 'auto' to match the cores this "
+            "process may actually use (sched_getaffinity; clamps to 1 "
+            "on a 1-core box instead of oversubscribing); cells start "
+            "largest dataset first, and results and checkpoints are "
+            "committed in canonical order, identical to a serial run"
+        ),
+    )
+
+
+def grid_runner_options(arguments: argparse.Namespace, out) -> dict:
+    """:class:`BenchmarkRunner` keywords from the shared grid flags.
+
+    Progress lines go to ``out``; the scale factor, which the runner
+    cannot see, is folded into the checkpoint fingerprint so ``--resume``
+    refuses a mismatched invocation. Raises
+    :class:`~repro.exceptions.ConfigurationError` for ``--resume``
+    without ``--checkpoint``.
+    """
+    if arguments.resume and not arguments.checkpoint:
+        raise ConfigurationError(
+            "--resume requires --checkpoint PATH (the file to resume from)"
+        )
+    wide_threshold, large_threshold = scaled_thresholds(arguments.scale)
+    return {
+        "n_folds": arguments.folds,
+        "seed": arguments.seed,
+        "wide_threshold": wide_threshold,
+        "large_threshold": large_threshold,
+        "progress": lambda line: print(line, file=out),
+        "checkpoint_path": arguments.checkpoint,
+        "resume_from": arguments.checkpoint if arguments.resume else None,
+        "workers": arguments.workers,
+        "fingerprint_extra": {"scale": arguments.scale},
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser (exposed for testing)."""
+    parser = argparse.ArgumentParser(
+        prog="etsc-bench",
+        description=(
+            "Evaluate early time-series classification algorithms "
+            "(EDBT 2024 framework reproduction)"
+        ),
+    )
+    parser.add_argument(
+        "--list",
+        action="store_true",
+        help="list registered algorithms and datasets, then exit",
+    )
+    add_grid_arguments(parser)
+    parser.add_argument(
+        "--budget-seconds",
+        type=float,
+        default=float("inf"),
+        help="per-pair time budget (the paper used 48 hours)",
+    )
+    parser.add_argument(
+        "--paper-params",
+        action="store_true",
+        help="use the full Table 4 parameters instead of the fast profile",
+    )
+    parser.add_argument(
+        "--save-report",
+        metavar="PATH",
+        default=None,
+        help="write the raw campaign results to a JSON file",
+    )
+    parser.add_argument(
+        "--significance",
+        action="store_true",
+        help="print Friedman/Nemenyi average-rank analysis of the run",
+    )
+    parser.add_argument(
         "--retries",
         type=int,
         default=0,
@@ -190,20 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="SECONDS",
         help="base backoff delay for --retries (doubles per attempt)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_workers_argument,
-        default=1,
-        metavar="N",
-        help=(
-            "evaluate up to N grid cells in parallel worker processes "
-            "(default 1 = serial), or 'auto' to match the cores this "
-            "process may actually use (sched_getaffinity; clamps to 1 "
-            "on a 1-core box instead of oversubscribing); cells start "
-            "largest dataset first, and results and checkpoints are "
-            "committed in canonical order, identical to a serial run"
-        ),
     )
     parser.add_argument(
         "--shard",
@@ -270,10 +316,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if argv and argv[0] == "merge-checkpoints":
         return merge_checkpoints_main(argv[1:], out)
     arguments = build_parser().parse_args(argv)
-    if arguments.log_level or arguments.progress:
-        from ..obs.logging import configure_logging
-
-        configure_logging(arguments.log_level or "INFO")
+    configure_cli_logging(arguments.log_level, arguments.progress)
     algorithms = default_algorithms(fast=not arguments.paper_params)
     datasets = default_datasets(scale=arguments.scale, seed=arguments.seed)
 
@@ -287,27 +330,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
             print(f"  {name}", file=out)
         return 0
 
-    if arguments.resume and not arguments.checkpoint:
-        print(
-            "error: --resume requires --checkpoint PATH (the file to "
-            "resume from)",
-            file=out,
-        )
-        return 2
-    if arguments.shard is not None and not arguments.checkpoint:
-        print(
-            "error: --shard requires --checkpoint DIR (the directory "
-            "all shards share)",
-            file=out,
-        )
-        return 2
-    if arguments.shard is not None and arguments.resume:
-        print(
-            "error: --shard resumes implicitly from its own "
-            "shard-<i>.jsonl; drop --resume",
-            file=out,
-        )
-        return 2
     retry_policy = None
     if arguments.retries > 0:
         from .resilience import RetryPolicy
@@ -316,54 +338,30 @@ def main(argv: list[str] | None = None, out=None) -> int:
             max_attempts=arguments.retries + 1,
             base_delay=arguments.retry_delay,
         )
-    from ..exceptions import CheckpointError, ConfigurationError
-
     try:
+        options = grid_runner_options(arguments, out)
+        if arguments.shard is not None and not arguments.checkpoint:
+            raise ConfigurationError(
+                "--shard requires --checkpoint DIR (the directory all "
+                "shards share)"
+            )
+        if arguments.shard is not None and arguments.resume:
+            raise ConfigurationError(
+                "--shard resumes implicitly from its own shard-<i>.jsonl; "
+                "drop --resume"
+            )
+        # The registry profile changes the grid's contents too.
+        options["fingerprint_extra"]["paper_params"] = arguments.paper_params
         runner = BenchmarkRunner(
             algorithms,
             datasets,
-            n_folds=arguments.folds,
             time_budget_seconds=arguments.budget_seconds,
-            wide_threshold=max(2, int(1300 * arguments.scale)),
-            large_threshold=max(2, int(1000 * arguments.scale)),
-            seed=arguments.seed,
-            progress=lambda line: print(line, file=out),
             retry_policy=retry_policy,
-            checkpoint_path=arguments.checkpoint,
-            resume_from=arguments.checkpoint if arguments.resume else None,
-            workers=arguments.workers,
             shard=arguments.shard,
             shard_steal=not arguments.no_steal,
-            # The runner cannot see the scale factor or registry profile,
-            # but both change the grid's contents — fold them into the
-            # fingerprint so --resume refuses a mismatched invocation.
-            fingerprint_extra={
-                "scale": arguments.scale,
-                "paper_params": arguments.paper_params,
-            },
+            **options,
         )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=out)
-        return 2
-
-    try:
-        if arguments.trace:
-            from ..obs.events import TraceWriter
-            from ..obs.trace import Tracer, use_tracer
-
-            with TraceWriter(arguments.trace) as writer:
-                with use_tracer(Tracer(on_finish=writer.write_span)):
-                    report = runner.run(
-                        arguments.algorithms, arguments.datasets
-                    )
-                n_spans = writer.n_spans
-            print(
-                f"\ntrace written to {arguments.trace} ({n_spans} spans); "
-                f"summarise with: "
-                f"python -m repro.obs.summary {arguments.trace}",
-                file=out,
-            )
-        else:
+        with traced_run(arguments.trace, out, summary_hint=True):
             report = runner.run(arguments.algorithms, arguments.datasets)
     except (CheckpointError, ConfigurationError) as error:
         print(f"error: {error}", file=out)
@@ -448,7 +446,6 @@ def merge_checkpoints_main(argv: list[str], out=None) -> int:
         ),
     )
     arguments = parser.parse_args(argv)
-    from ..exceptions import CheckpointError
     from .sched import (
         grid_cells,
         load_shard_checkpoints,

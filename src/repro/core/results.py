@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
-
 from typing import TYPE_CHECKING
 
 from ..exceptions import DataFormatError
-from .categorization import DatasetCategories
+from .categorization import categories_from_names
 from .evaluation import EvaluationResult, FoldResult
 
 if TYPE_CHECKING:  # break the runner -> checkpoint -> results cycle
@@ -28,7 +26,6 @@ __all__ = [
     "report_to_markdown",
     "fold_to_dict",
     "fold_from_dict",
-    "categories_from_names",
 ]
 
 _FORMAT_VERSION = 1
@@ -50,10 +47,6 @@ def fold_to_dict(fold: FoldResult) -> dict:
 def fold_from_dict(payload: dict) -> FoldResult:
     """Inverse of :func:`fold_to_dict`."""
     return FoldResult(**payload)
-
-
-# Backwards-compatible alias (pre-resilience name).
-_fold_to_dict = fold_to_dict
 
 
 def save_report(report: RunReport, path: str | os.PathLike) -> None:
@@ -80,21 +73,6 @@ def save_report(report: RunReport, path: str | os.PathLike) -> None:
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
-
-
-def categories_from_names(names: Iterable[str]) -> DatasetCategories:
-    """Rebuild a :class:`DatasetCategories` from its flag-name list."""
-    names = set(names)
-    return DatasetCategories(
-        wide="Wide" in names,
-        large="Large" in names,
-        unstable="Unstable" in names,
-        imbalanced="Imbalanced" in names,
-        multiclass="Multiclass" in names,
-        common="Common" in names,
-        univariate="Univariate" in names,
-        multivariate="Multivariate" in names,
-    )
 
 
 def load_report(path: str | os.PathLike) -> RunReport:

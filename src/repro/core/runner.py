@@ -801,52 +801,71 @@ class BenchmarkRunner:
         ``grid.load_failures`` instead, to be committed as one failure
         per cell of the dataset — the grid keeps going.
         """
-        policy = self.retry_policy
-        attempt = 0
         with grid.tracer.span("load", dataset=dataset_name) as span:
-            while True:
-                attempt += 1
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector("load", "", dataset_name, attempt)
-                    grid.datasets[dataset_name] = self.datasets.load(
-                        dataset_name
+            dataset, failure, attempts = self._attempts(
+                span,
+                "load",
+                "",
+                dataset_name,
+                lambda: self.datasets.load(dataset_name),
+                lambda attempt, delay: emit(
+                    self.metrics, "load_retry", attempt=attempt, delay=delay
+                ),
+            )
+            if failure is None:
+                grid.datasets[dataset_name] = dataset
+                return
+            error, kind, reason = failure
+            span.set_status("error")
+            span.set_attribute("reason", reason)
+            span.set_attribute("failure_kind", kind)
+            span.set_attribute("attempts", attempts)
+            span.set_attribute("traceback", format_traceback(error))
+            emit(self.metrics, "load_failed", dataset=dataset_name)
+            grid.load_failures[dataset_name] = (reason, kind, attempts)
+
+    def _attempts(
+        self, span, stage, algorithm_name, dataset_name, call, on_retry
+    ):
+        """Run ``call`` under the fault hook and the retry policy.
+
+        Every failed attempt is an ``attempt_failed`` event on ``span``; a
+        retried one waits the policy's backoff, calls ``on_retry(attempt,
+        delay)`` and logs a warning. Returns ``(value, None, attempts)``
+        on success, else ``(None, (error, kind, reason), attempts)`` for
+        the terminal failure.
+        """
+        policy = self.retry_policy
+        if algorithm_name:
+            subject = f"{algorithm_name} on {dataset_name}"
+            key = f"{algorithm_name}:{dataset_name}"
+        else:
+            subject = f"{stage} {dataset_name}"
+            key = f"{stage}:{dataset_name}"
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                if self.fault_injector is not None:
+                    self.fault_injector(
+                        stage, algorithm_name, dataset_name, attempt
                     )
-                    return
-                except Exception as error:
-                    kind = policy.classify(error)
-                    reason = failure_reason(error)
-                    span.add_event(
-                        "attempt_failed",
-                        attempt=attempt,
-                        kind=kind,
-                        error=reason,
-                    )
-                    if policy.should_retry(error, attempt):
-                        delay = policy.wait(
-                            attempt, key=f"load:{dataset_name}"
-                        )
-                        emit(
-                            self.metrics, "load_retry",
-                            attempt=attempt, delay=delay,
-                        )
-                        _logger.warning(
-                            "load %s: transient failure (%s), retrying "
-                            "attempt %d/%d after %.2fs",
-                            dataset_name, reason, attempt + 1,
-                            policy.max_attempts, delay,
-                        )
-                        continue
-                    span.set_status("error")
-                    span.set_attribute("reason", reason)
-                    span.set_attribute("failure_kind", kind)
-                    span.set_attribute("attempts", attempt)
-                    span.set_attribute(
-                        "traceback", format_traceback(error)
-                    )
-                    emit(self.metrics, "load_failed", dataset=dataset_name)
-                    grid.load_failures[dataset_name] = (reason, kind, attempt)
-                    return
+                return call(), None, attempt
+            except Exception as error:
+                kind = policy.classify(error)
+                reason = failure_reason(error)
+                span.add_event(
+                    "attempt_failed", attempt=attempt, kind=kind, error=reason
+                )
+                if not policy.should_retry(error, attempt):
+                    return None, (error, kind, reason), attempt
+                delay = policy.wait(attempt, key=key)
+                on_retry(attempt, delay)
+                _logger.warning(
+                    "%s: transient failure (%s), retrying attempt %d/%d "
+                    "after %.2fs",
+                    subject, reason, attempt + 1, policy.max_attempts, delay,
+                )
 
     def _commit_dataset(
         self, grid: _Grid, dataset_name: str, dataset: TimeSeriesDataset
@@ -902,66 +921,40 @@ class BenchmarkRunner:
         commit loop, in plan order whatever the schedule.
         """
         info = self.algorithms.get(algorithm_name)
-        policy = self.retry_policy
-        retries = 0
+
+        def attempt_evaluate():
+            # Preemptive kill rule (the paper's 48-hour cutoff); falls
+            # back to the cooperative check below when SIGALRM is
+            # unavailable (non-Unix or worker thread).
+            with time_limit(self.time_budget_seconds):
+                return evaluate(
+                    info.factory,
+                    dataset,
+                    algorithm_name,
+                    n_folds=self.n_folds,
+                    seed=self.seed,
+                )
+
         with tracer.span(
             "cell", algorithm=algorithm_name, dataset=dataset_name
         ) as cell_span:
             start = time.perf_counter()
             cpu_start = time.process_time()
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector(
-                            "evaluate", algorithm_name, dataset_name, attempt
-                        )
-                    # Preemptive kill rule (the paper's 48-hour cutoff);
-                    # falls back to the cooperative check below when
-                    # SIGALRM is unavailable (non-Unix or worker thread).
-                    with time_limit(self.time_budget_seconds):
-                        result = evaluate(
-                            info.factory,
-                            dataset,
-                            algorithm_name,
-                            n_folds=self.n_folds,
-                            seed=self.seed,
-                        )
-                    reason = kind = None
-                    break
-                except Exception as error:
-                    kind = policy.classify(error)
-                    reason = failure_reason(error)
-                    cell_span.add_event(
-                        "attempt_failed",
-                        attempt=attempt,
-                        kind=kind,
-                        error=reason,
-                    )
-                    if policy.should_retry(error, attempt):
-                        retries += 1
-                        delay = policy.wait(
-                            attempt, key=f"{algorithm_name}:{dataset_name}"
-                        )
-                        cell_span.add_event(
-                            "retry", attempt=attempt, delay=delay
-                        )
-                        _logger.warning(
-                            "%s on %s: transient failure (%s), retrying "
-                            "attempt %d/%d after %.2fs",
-                            algorithm_name, dataset_name, reason,
-                            attempt + 1, policy.max_attempts, delay,
-                        )
-                        continue
-                    cell_span.set_status(
-                        "timeout" if kind == TIMEOUT else "error"
-                    )
-                    cell_span.set_attribute(
-                        "traceback", format_traceback(error)
-                    )
-                    result = None
-                    break
+            result, failure, attempt = self._attempts(
+                cell_span,
+                "evaluate",
+                algorithm_name,
+                dataset_name,
+                attempt_evaluate,
+                lambda attempt, delay: cell_span.add_event(
+                    "retry", attempt=attempt, delay=delay
+                ),
+            )
+            reason = kind = None
+            if failure is not None:
+                error, kind, reason = failure
+                cell_span.set_status("timeout" if kind == TIMEOUT else "error")
+                cell_span.set_attribute("traceback", format_traceback(error))
             elapsed = time.perf_counter() - start
             cpu_seconds = time.process_time() - cpu_start
             if result is not None:
@@ -984,7 +977,7 @@ class BenchmarkRunner:
                 kind=kind,
                 attempts=attempt,
                 elapsed=elapsed,
-                retries=retries,
+                retries=attempt - 1,
                 cpu_seconds=cpu_seconds,
             )
 

@@ -22,14 +22,22 @@ import json
 import math
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterator
 
 from ..exceptions import ReproError
-from .trace import Span
+from .trace import Span, Tracer, use_tracer
 
-__all__ = ["SCHEMA_VERSION", "SpanRecord", "TraceWriter", "TraceReader", "read_spans"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "SpanRecord",
+    "TraceWriter",
+    "TraceReader",
+    "read_spans",
+    "traced_run",
+]
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +144,32 @@ class TraceWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+@contextmanager
+def traced_run(
+    path: str | Path | None, out: IO[str], *, summary_hint: bool = False
+) -> Iterator[None]:
+    """Trace the spans of the ``with`` block to a JSONL file at ``path``.
+
+    Installs a :class:`Tracer` whose finished spans go to a
+    :class:`TraceWriter`; an empty or ``None`` path traces nothing. When the block
+    finishes cleanly, ``trace written to PATH (N spans)`` is printed to
+    ``out``; ``summary_hint`` puts a blank line before it and the
+    ``repro.obs.summary`` command after it.
+    """
+    if not path:
+        yield
+        return
+    with TraceWriter(path) as writer:
+        with use_tracer(Tracer(on_finish=writer.write_span)):
+            yield
+    message = f"trace written to {path} ({writer.n_spans} spans)"
+    if summary_hint:
+        message = (
+            f"\n{message}; summarise with: python -m repro.obs.summary {path}"
+        )
+    print(message, file=out)
 
 
 class TraceReader:

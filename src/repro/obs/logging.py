@@ -24,6 +24,7 @@ __all__ = [
     "ROOT_LOGGER_NAME",
     "get_logger",
     "configure_logging",
+    "configure_cli_logging",
     "warn_once",
     "reset_warnings",
     "GridProgress",
@@ -79,6 +80,16 @@ def configure_logging(
     root.addHandler(handler)
     root.setLevel(level)
     return root
+
+
+def configure_cli_logging(level: str | None, progress: bool = False) -> None:
+    """Apply a command's ``--log-level`` (and ``--progress``) flags.
+
+    Configures nothing when neither is given; ``--progress`` alone logs
+    at INFO.
+    """
+    if level or progress:
+        configure_logging(level or "INFO")
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,14 @@ import json
 import sys
 from pathlib import Path
 
+from ..core.cli import add_grid_arguments, grid_runner_options
 from ..core.registry import default_algorithms, default_datasets
 from ..exceptions import CheckpointError, ConfigurationError, ReproError
+from ..obs.events import traced_run
+from ..obs.logging import configure_cli_logging
 from .grid import run_robustness
 from .operators import MAX_SEVERITY, operator_catalog
-from .spec import CorruptionSpec, parse_corruption_spec
+from .spec import CorruptionSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -71,30 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the operator catalog with severity parameters, then exit",
     )
-    parser.add_argument(
-        "--algorithms",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help="algorithms to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--datasets",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help="base datasets to corrupt (default: all registered)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="dataset size scale factor (1.0 = published sizes)",
-    )
-    parser.add_argument(
-        "--folds", type=int, default=5, help="cross-validation folds"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    add_grid_arguments(parser)
     parser.add_argument(
         "--corruption-seed",
         type=int,
@@ -111,49 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate up to N grid cells in parallel worker processes",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=None,
-        help=(
-            "append every cell outcome to a JSONL checkpoint at PATH; the "
-            "fingerprint includes the corruption spec and seed, so a "
-            "mismatched --resume fails fast"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint at --checkpoint PATH",
-    )
-    parser.add_argument(
         "--output",
         metavar="PATH",
         default=None,
         help="write the full robustness report as JSON to PATH",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a JSONL span trace of the grid run",
-    )
-    parser.add_argument(
-        "--log-level",
-        metavar="LEVEL",
-        default=None,
-        help="enable repro logging at LEVEL (debug/info/warning/error)",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="log per-cell progress lines (implies --log-level info)",
     )
     return parser
 
@@ -191,21 +132,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """``robustness`` entry point; returns a process exit code."""
     out = out or sys.stdout
     arguments = build_parser().parse_args(argv)
-    if arguments.log_level or arguments.progress:
-        from ..obs.logging import configure_logging
-
-        configure_logging(arguments.log_level or "INFO")
+    configure_cli_logging(arguments.log_level, arguments.progress)
     if arguments.list_ops:
         _print_catalog(out)
         return 0
-    if arguments.resume and not arguments.checkpoint:
-        print(
-            "error: --resume requires --checkpoint PATH (the file to "
-            "resume from)",
-            file=out,
-        )
-        return 2
     try:
+        options = grid_runner_options(arguments, out)
         ops = _parse_ops(arguments.ops)
         for severity in arguments.severities:
             if not 0 <= severity <= MAX_SEVERITY:
@@ -218,43 +150,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     algorithms = default_algorithms(fast=True)
     datasets = default_datasets(scale=arguments.scale, seed=arguments.seed)
-
-    def run():
-        return run_robustness(
-            algorithms,
-            datasets,
-            ops=ops,
-            severities=arguments.severities,
-            algorithm_names=arguments.algorithms,
-            dataset_names=arguments.datasets,
-            corruption_seed=arguments.corruption_seed,
-            fill=not arguments.no_fill,
-            n_folds=arguments.folds,
-            seed=arguments.seed,
-            wide_threshold=max(2, int(1300 * arguments.scale)),
-            large_threshold=max(2, int(1000 * arguments.scale)),
-            progress=lambda line: print(line, file=out),
-            checkpoint_path=arguments.checkpoint,
-            resume_from=arguments.checkpoint if arguments.resume else None,
-            workers=arguments.workers,
-            fingerprint_extra={"scale": arguments.scale},
-        )
-
     try:
-        if arguments.trace:
-            from ..obs.events import TraceWriter
-            from ..obs.trace import Tracer, use_tracer
-
-            with TraceWriter(arguments.trace) as writer:
-                with use_tracer(Tracer(on_finish=writer.write_span)):
-                    report = run()
-            print(
-                f"trace written to {arguments.trace} "
-                f"({writer.n_spans} spans)",
-                file=out,
+        with traced_run(arguments.trace, out):
+            report = run_robustness(
+                algorithms,
+                datasets,
+                ops=ops,
+                severities=arguments.severities,
+                algorithm_names=arguments.algorithms,
+                dataset_names=arguments.datasets,
+                corruption_seed=arguments.corruption_seed,
+                fill=not arguments.no_fill,
+                **options,
             )
-        else:
-            report = run()
     except (ConfigurationError, CheckpointError) as error:
         print(f"error: {error}", file=out)
         return 2

@@ -257,17 +257,7 @@ def run_robustness(
     dataset_names: list[str] | None = None,
     corruption_seed: int | None = None,
     fill: bool = True,
-    n_folds: int = 5,
-    seed: int = 0,
-    time_budget_seconds: float = float("inf"),
-    wide_threshold: int | None = None,
-    large_threshold: int | None = None,
-    progress=None,
-    retry_policy=None,
-    checkpoint_path=None,
-    resume_from=None,
-    workers: int = 1,
-    fingerprint_extra: dict | None = None,
+    **runner_options,
 ) -> RobustnessReport:
     """Run the clean-vs-corrupted grid and fold it into a report.
 
@@ -275,7 +265,9 @@ def run_robustness(
     placement is honoured, their severity field is superseded by the
     ``severities`` sweep. Severity 0 (the clean cells) is always
     evaluated — it anchors every retention curve and the severity-0
-    no-op gate. ``corruption_seed`` defaults to ``seed``.
+    no-op gate. ``runner_options`` are :class:`BenchmarkRunner`
+    keywords, passed through; ``corruption_seed`` defaults to their
+    ``seed``.
     """
     if not ops:
         raise ConfigurationError("run_robustness needs at least one operator")
@@ -286,7 +278,7 @@ def run_robustness(
             "(severity 0 alone is just the clean grid)"
         )
     if corruption_seed is None:
-        corruption_seed = seed
+        corruption_seed = runner_options.get("seed", 0)
     algorithm_names = list(algorithm_names or algorithms.names())
     base_names = list(dataset_names or datasets.names())
     op_labels = [
@@ -305,27 +297,15 @@ def run_robustness(
         corruption_seed,
         fill=fill,
     )
-    # Satellite: the corruption identity is part of the grid fingerprint,
+    # The corruption identity is part of the grid fingerprint,
     # so --resume with a different spec/severity-sweep/seed fails fast.
-    extra = dict(fingerprint_extra or {})
+    extra = dict(runner_options.pop("fingerprint_extra", None) or {})
     extra["corruption_ops"] = list(op_labels)
     extra["corruption_severities"] = [int(s) for s in severities]
     extra["corruption_seed"] = int(corruption_seed)
     extra["corruption_fill"] = bool(fill)
     runner = BenchmarkRunner(
-        algorithms,
-        registry,
-        n_folds=n_folds,
-        time_budget_seconds=time_budget_seconds,
-        wide_threshold=wide_threshold,
-        large_threshold=large_threshold,
-        seed=seed,
-        progress=progress,
-        retry_policy=retry_policy,
-        checkpoint_path=checkpoint_path,
-        resume_from=resume_from,
-        workers=workers,
-        fingerprint_extra=extra,
+        algorithms, registry, fingerprint_extra=extra, **runner_options
     )
     base_report = runner.run(algorithm_names, registry.names())
     return RobustnessReport(

@@ -50,25 +50,7 @@ class ServeFaultPlan(FaultPlan):
     every push); ``stream`` matches the session's stream name (``"*"``
     matches any stream — the default, since a replay opens one session
     per instance).
-
-    Besides raising faults, a plan can carry *push-time data
-    corruption*: :meth:`with_corruption` attaches a
-    :class:`~repro.robustness.stream.StreamCorruptor` that transforms
-    (rather than rejects) arriving points — NaN gaps, noise, warp —
-    so the guard/fallback/breaker stack is measured against data
-    faults, not just timing faults. A
-    :class:`~repro.serve.session.GuardedStreamingSession` given this
-    plan as its ``fault_injector`` picks the corruptor up
-    automatically.
     """
-
-    #: Optional push-time corruptor (see :meth:`with_corruption`).
-    corruptor = None
-
-    def with_corruption(self, corruptor) -> "ServeFaultPlan":
-        """Attach a :class:`StreamCorruptor` applied at push time."""
-        self.corruptor = corruptor
-        return self
 
     def corrupt_push(
         self,

@@ -122,9 +122,7 @@ class GuardedStreamingSession(StreamingSession):
         (:class:`~repro.robustness.stream.StreamCorruptor`): applied to
         every delivered point *between* coercion and the input guard,
         so the guard sees exactly what a degraded sensor would emit.
-        When omitted, a corruptor attached to the ``fault_injector``
-        plan (``ServeFaultPlan.with_corruption``) is picked up
-        automatically. Every corrupted push is counted
+        Every corrupted push is counted
         (``serve.corrupted_points`` plus per-operator
         ``serve.corruption.<op>`` counters) and logged in
         ``session.corruption_events`` — the provenance that says which
@@ -189,10 +187,6 @@ class GuardedStreamingSession(StreamingSession):
         self.deadline_seconds = deadline_seconds
         self.breaker = breaker
         self.fault_injector = fault_injector
-        if corruptor is None:
-            # A ServeFaultPlan can carry push-time corruption; one plan
-            # object then configures the whole failure surface.
-            corruptor = getattr(fault_injector, "corruptor", None)
         self.corruptor = corruptor
         self.stream_name = stream_name
         self.algorithm_name = algorithm_name or type(classifier).__name__

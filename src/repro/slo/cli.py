@@ -27,6 +27,8 @@ from ..fleet import (
     parse_fleet_fault_specs,
     run_fleet,
 )
+from ..obs.events import traced_run
+from ..obs.logging import configure_cli_logging
 from .harness import run_scenario
 from .scenario import (
     CorruptionBlock,
@@ -259,10 +261,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """``serve-slo`` entry point; returns a process exit code."""
     out = out or sys.stdout
     arguments = build_parser().parse_args(argv)
-    if arguments.log_level:
-        from ..obs.logging import configure_logging
-
-        configure_logging(arguments.log_level)
+    configure_cli_logging(arguments.log_level)
     bundled = bundled_scenarios()
     if arguments.list:
         print("bundled scenarios:", file=out)
@@ -297,19 +296,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 f"fleet-only option(s) {', '.join(given)} need "
                 "--shards N (N >= 1)"
             )
-        if arguments.trace:
-            from ..obs.events import TraceWriter
-            from ..obs.trace import Tracer, use_tracer
-
-            with TraceWriter(arguments.trace) as writer:
-                with use_tracer(Tracer(on_finish=writer.write_span)):
-                    reports = _run_all(names, arguments, out)
-            print(
-                f"trace written to {arguments.trace} "
-                f"({writer.n_spans} spans)",
-                file=out,
-            )
-        else:
+        with traced_run(arguments.trace, out):
             reports = _run_all(names, arguments, out)
     except ConfigurationError as error:
         print(f"error: {error}", file=out)

@@ -3,8 +3,65 @@
 import io
 import json
 
+import pytest
+
+from repro.core.cli import build_parser as grid_parser
 from repro.core.cli import main as dispatch_main
-from repro.robustness.cli import main
+from repro.robustness.cli import build_parser, main
+
+#: One argv per flag the robustness grid shares with ``etsc-bench``.
+SHARED_GRID_ARGV = [
+    ["--algorithms", "ECTS", "TEASER"],
+    ["--datasets", "PowerCons"],
+    ["--scale", "0.08"],
+    ["--folds", "2"],
+    ["--seed", "3"],
+    ["--workers", "2"],
+    ["--workers", "auto"],
+    ["--checkpoint", "grid.jsonl"],
+    ["--checkpoint", "grid.jsonl", "--resume"],
+    ["--trace", "trace.jsonl"],
+    ["--log-level", "debug"],
+    ["--progress"],
+]
+
+
+class TestSharedGridFlags:
+    """The robustness parser takes the grid's flags from one declaration."""
+
+    @pytest.mark.parametrize(
+        "argv", [[]] + SHARED_GRID_ARGV, ids=lambda argv: " ".join(argv)
+    )
+    def test_same_destinations_and_values(self, argv):
+        grid = vars(grid_parser().parse_args(argv))
+        robust = vars(build_parser().parse_args(argv))
+        shared = set(grid) & set(robust)
+        for flag in (token for token in argv if token.startswith("--")):
+            assert flag.lstrip("-").replace("-", "_") in shared
+        assert {key: robust[key] for key in shared} == {
+            key: grid[key] for key in shared
+        }
+
+    def test_every_shared_flag_is_declared_alike(self):
+        def declared(parser):
+            return {
+                option: (action.dest, action.default, action.nargs)
+                for action in parser._actions
+                for option in action.option_strings
+            }
+
+        grid, robust = declared(grid_parser()), declared(build_parser())
+        flags = {argv[0] for argv in SHARED_GRID_ARGV}
+        assert {flag: robust[flag] for flag in flags} == {
+            flag: grid[flag] for flag in flags
+        }
+
+    def test_workers_auto_is_accepted(self):
+        out = io.StringIO()
+        assert main(["--workers", "auto", "--list-ops"], out=out) == 0
+        assert build_parser().parse_args(["--workers", "auto"]).workers == (
+            "auto"
+        )
 
 
 class TestListOps:

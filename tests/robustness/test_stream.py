@@ -181,15 +181,6 @@ class TestSessionIntegration:
         # No corruption counters: the metrics snapshot stays identical.
         assert corrupted.metrics.snapshot() == clean.metrics.snapshot()
 
-    def test_fault_plan_carries_the_corruptor(self, trained):
-        _, dataset = trained
-        corruptor = StreamCorruptor(["point_dropout:5"], seed=6)
-        plan = ServeFaultPlan().with_corruption(corruptor)
-        session = self._session(trained, fault_injector=plan)
-        assert session.corruptor is corruptor
-        session.run(dataset.values[1])
-        assert session.corruption_events
-
     def test_trace_rollup_reproduces_corruption_counters(self, trained):
         _, dataset = trained
         corruptor = StreamCorruptor(

@@ -100,6 +100,12 @@ class EarlyClassifier(ABC):
                 "training dataset contains missing values; fill them first "
                 "with repro.data.fill_missing (the paper's Section 5.1 rule)"
             )
+        n_infinite = int(np.isinf(dataset.values).sum())
+        if n_infinite:
+            raise DataError(
+                f"training dataset contains {n_infinite} infinite "
+                f"value(s); replace them with finite values first"
+            )
         if not self.supports_multivariate and dataset.n_variables != 1:
             raise DataError(
                 f"{type(self).__name__} supports univariate input only; "

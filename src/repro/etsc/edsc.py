@@ -22,16 +22,24 @@ earliest match so far (:meth:`EDSC.open_stream`), so a consult scores only
 the windows that end in the newly observed points instead of rescanning
 the whole prefix.
 
-Exhaustive EDSC enumerates every subsequence of every training series for
-every length in ``[min_length, max_length]`` — the ``O(N^2 L^3)`` cost of
-Table 5, which the paper found intractable for 'Wide' datasets (48-hour
-timeouts). The ``stride`` and ``n_lengths`` knobs below subsample the
-candidate grid to keep the same structure tractable; defaults of 1 / full
-grid reproduce the exhaustive behaviour.
+Exhaustive EDSC scores every subsequence of every training series, for
+every length in ``[min_length, max_length]``, against every window of
+every series: Table 5's ``O(N^2 L^3)`` distance evaluations, which the
+paper found intractable on 'Wide' datasets (48-hour timeouts). Training
+evaluates them as one matrix product per chunk of candidates of a width
+and recomputes by the direct form only the windows a rounding bound
+cannot decide, so the shapelets are bitwise those of the per-candidate
+loop. Measured on one core: the Table 4 profile (``n_lengths=None``,
+``stride=1``) trains on DodgerLoopWeekend at scale 0.05 (8 x 288, 240,240
+candidates) in 8.6 s, where the per-candidate loop took 48.9 s
+(``docs/performance.md``). The ``stride`` and ``n_lengths`` knobs
+subsample the candidate grid; ``stride=1`` and ``n_lengths=None``
+reproduce the exhaustive behaviour.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +48,7 @@ from ..core.base import ClassifierStream, EarlyClassifier
 from ..core.prediction import EarlyPrediction
 from ..data.dataset import TimeSeriesDataset
 from ..exceptions import ConfigurationError
+from ..stats.backends.numpy_backend import direct_distances, strided_windows
 from ..stats.distance import best_match_distances, sliding_window_distances
 from .common import validate_univariate
 
@@ -72,17 +81,6 @@ def _best_match_distances(pattern: np.ndarray, matrix: np.ndarray) -> np.ndarray
     return best_match_distances(pattern, matrix)
 
 
-def _earliest_positions_from(
-    window_distances: np.ndarray, width: int, threshold: float
-) -> np.ndarray:
-    """Earliest match positions given a precomputed window-distance table."""
-    hits = window_distances <= threshold
-    matched = hits.any(axis=1)
-    # argmax finds the first True per row; unmatched rows stay at 0.
-    first = hits.argmax(axis=1)
-    return np.where(matched, first + width, 0)
-
-
 def _earliest_match_positions(
     pattern: np.ndarray, matrix: np.ndarray, threshold: float
 ) -> np.ndarray:
@@ -90,9 +88,226 @@ def _earliest_match_positions(
 
     Rows that never match get 0 (no match).
     """
-    return _earliest_positions_from(
-        sliding_window_distances(pattern, matrix), len(pattern), threshold
-    )
+    hits = sliding_window_distances(pattern, matrix) <= threshold
+    # argmax finds the first True per row; unmatched rows stay at 0.
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) + len(pattern), 0)
+
+
+#: Float64 elements in one chunk's distance table (512 KiB), which caps
+#: the candidates scored per matrix product.
+_CHUNK_ELEMENTS = 1 << 16
+#: Unit roundoff of float64.
+_ROUNDOFF = np.finfo(float).eps / 2
+#: Absolute slack that covers rounding in the subnormal range.
+_FLOOR = np.finfo(float).tiny
+
+
+class _WidthTable:
+    """Scores EDSC's candidates of one width from chunked distance tables.
+
+    The candidates are the ``width``-point windows of every training row at
+    starts ``0, stride, ...``. For a chunk of them, one matrix product gives
+    ``A = |q-m|^2 + |a-m|^2 - 2 (q-m).(a-m)`` for every window, with ``m``
+    the data mean, and ``slack`` bounds ``|A - E|`` per (row, candidate),
+    ``E`` being the squared distance :func:`~repro.stats.backends.
+    numpy_backend.direct_distances` computes (``docs/performance.md``
+    derives the bound). The direct form recomputes only what the bound
+    cannot decide: each row's minimum (it feeds the Chebyshev threshold)
+    and, in covered rows, the first window at or under the threshold (the
+    match position). So every value that reaches a candidate is bitwise
+    what the candidate's own direct-form table gives.
+    """
+
+    def __init__(self, matrix: np.ndarray, labels: np.ndarray, width: int):
+        self.labels = labels
+        self.width = width
+        self.n_rows, self.length = matrix.shape
+        self.n_starts = self.length - width + 1
+        # Windows start-major (index start * n_rows + row), so a chunk's
+        # table is (start, row, candidate) and row minima reduce over the
+        # outer axis.
+        self.windows = (
+            strided_windows(matrix, width)
+            .transpose(1, 0, 2)
+            .reshape(-1, width)
+        )
+        centred = self.windows - matrix.mean()
+        self.norms = np.einsum("ij,ij->i", centred, centred)
+        # [-2(a-m), |a-m|^2, 1] . [q-m, 1, |q-m|^2] = A, one dot product.
+        ones = np.ones((len(centred), 1))
+        self.targets = np.hstack([-2.0 * centred, self.norms[:, None], ones])
+        self.patterns = np.hstack([centred, ones, self.norms[:, None]])
+        self.row_norms = self.norms.reshape(self.n_starts, -1).max(axis=0)
+        _, self.first, self.ids = np.unique(
+            self.windows, axis=0, return_index=True, return_inverse=True
+        )
+        self.bound = 2 * (5 * width + 12) * _ROUNDOFF
+
+    def score(
+        self, stride: int, k: float
+    ) -> list[tuple[Shapelet, np.ndarray]]:
+        """Every candidate that gets a positive threshold and a utility,
+        with the rows it covers, in (series, start) order."""
+        sources = (
+            np.arange(0, self.n_starts, stride) * self.n_rows
+            + np.arange(self.n_rows)[:, None]
+        ).ravel()
+        chunk = max(1, _CHUNK_ELEMENTS // len(self.windows))
+        scored: list[tuple[Shapelet, np.ndarray]] = []
+        for begin in range(0, sources.size, chunk):
+            scored.extend(self._score_chunk(sources[begin : begin + chunk], k))
+        return scored
+
+    def _score_chunk(
+        self, source: np.ndarray, k: float
+    ) -> list[tuple[Shapelet, np.ndarray]]:
+        labels = self.labels
+        source_labels = labels[source % self.n_rows]
+        table = (self.targets @ self.patterns[source].T).reshape(
+            self.n_starts, self.n_rows, -1
+        )
+        slack = self.bound * (self.norms[source] + self.row_norms[:, None])
+        slack += _FLOOR
+        exact = _ExactPairs(self, source)
+
+        # Row minima: every window within 2 * slack of its row's smallest A.
+        flat = np.flatnonzero(table <= table.min(axis=0) + 2.0 * slack)
+        exact_table = np.full(table.shape, np.inf)
+        exact_table.reshape(-1)[flat] = exact(flat)
+        minima = exact_table.min(axis=0).T
+
+        limits = np.zeros(source.size)
+        for label in np.unique(source_labels):
+            rows = source_labels == label
+            other = labels != label
+            if other.any():
+                # Reductions over the last axis of a C-ordered array are
+                # bitwise the 1-D mean/std of one candidate's other rows.
+                values = np.ascontiguousarray(minima[rows][:, other])
+                limits[rows] = values.mean(axis=1) - k * values.std(axis=1)
+        valid = limits > 0
+        thresholds = np.where(valid, limits, 0.0)
+        covered = (minima <= thresholds[:, None]) & valid[:, None]
+        matches = self._matches(
+            table, slack, exact_table, exact, thresholds, covered
+        )
+
+        same = source_labels[:, None] == labels
+        covered_same = covered & same
+        n_covered = covered.sum(axis=1)
+        precision = covered_same.sum(axis=1) / np.maximum(n_covered, 1)
+        weighted = np.where(
+            covered_same, 1.0 - (matches - 1) / self.length, 0.0
+        ).sum(axis=1) / np.maximum(same.sum(axis=1), 1)
+        denominator = precision + weighted
+        keep = np.flatnonzero((n_covered > 0) & (denominator != 0))
+        utility = 2.0 * precision[keep] * weighted[keep] / denominator[keep]
+        windows = self.windows
+        return [
+            (Shapelet(windows[i].copy(), threshold, label, value), rows)
+            for i, threshold, label, value, rows in zip(
+                source[keep].tolist(),
+                thresholds[keep].tolist(),
+                source_labels[keep].tolist(),
+                utility.tolist(),
+                covered[keep],
+            )
+        ]
+
+    def _matches(
+        self,
+        table: np.ndarray,
+        slack: np.ndarray,
+        exact_table: np.ndarray,
+        exact: "_ExactPairs",
+        thresholds: np.ndarray,
+        covered: np.ndarray,
+    ) -> np.ndarray:
+        """Match end (0 = none) of every (candidate, row): the first window
+        at or under the threshold in each covered row."""
+        candidate, row = np.nonzero(covered)
+        square = thresholds[candidate] ** 2
+        row_table = table[:, row, candidate]
+        row_slack = slack[row, candidate]
+        definite = row_table + row_slack < square * (1 - 8 * _ROUNDOFF)
+        first_hit = np.where(
+            definite.any(axis=0), definite.argmax(axis=0), self.n_starts
+        )
+        ambiguous = (
+            (row_table - row_slack <= square * (1 + 8 * _ROUNDOFF))
+            & ~definite
+            & (np.arange(self.n_starts)[:, None] < first_hit)
+        )
+        start, which = np.nonzero(ambiguous)
+        distances = exact_table[start, row[which], candidate[which]]
+        missing = np.isinf(distances)
+        which_missing = which[missing]
+        distances[missing] = exact(
+            (start[missing] * self.n_rows + row[which_missing])
+            * covered.shape[0]
+            + candidate[which_missing]
+        )
+        hits = distances <= thresholds[candidate[which]]
+        # np.nonzero lists the entries start by start, so a row's first
+        # ambiguous hit is its first occurrence.
+        hit_rows, first_index = np.unique(which[hits], return_index=True)
+        first_hit[hit_rows] = np.minimum(
+            first_hit[hit_rows], start[hits][first_index]
+        )
+        matches = np.zeros(covered.shape, dtype=np.int64)
+        matches[candidate, row] = first_hit + self.width
+        return matches
+
+
+class _ExactPairs:
+    """Direct-form distances at flat ``(window, candidate)`` positions of
+    one chunk's table.
+
+    When windows repeat, each distinct pair of values is computed once per
+    call: equal values give equal bits.
+    """
+
+    def __init__(self, table: _WidthTable, source: np.ndarray):
+        self.windows = table.windows
+        self.source = source
+        self.first = table.first
+        self.repeats = table.first.size < len(table.windows)
+        if self.repeats:
+            self.pattern_ids, slots = np.unique(
+                table.ids[source], return_inverse=True
+            )
+            self.keys = (
+                table.ids[:, None] + slots * table.first.size
+            ).reshape(-1)
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        if not self.repeats:
+            window, candidate = np.divmod(flat, self.source.size)
+            return self._direct(self.source[candidate], window)
+        n_distinct = self.first.size
+        keys = self.keys[flat]
+        needed = np.zeros(self.pattern_ids.size * n_distinct, dtype=bool)
+        needed[keys] = True
+        distinct = np.flatnonzero(needed)
+        pattern, window = np.divmod(distinct, n_distinct)
+        values = np.empty(needed.size)
+        values[distinct] = self._direct(
+            self.first[self.pattern_ids[pattern]], self.first[window]
+        )
+        return values[keys]
+
+    def _direct(self, patterns: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Distance of ``windows[targets]`` to ``windows[patterns]``."""
+        windows = self.windows
+        step = max(1, _CHUNK_ELEMENTS // windows.shape[1])
+        distances = np.empty(patterns.size)
+        for begin in range(0, patterns.size, step):
+            end = begin + step
+            distances[begin:end] = direct_distances(
+                windows[targets[begin:end]][None],
+                windows[patterns[begin:end]][None],
+            )[0]
+        return distances
 
 
 class EDSC(EarlyClassifier):
@@ -127,14 +342,22 @@ class EDSC(EarlyClassifier):
         max_shapelets: int = 50,
     ) -> None:
         super().__init__()
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
+        if not math.isfinite(k) or k <= 0:
+            raise ConfigurationError(f"k must be positive and finite, got {k}")
         if min_length < 1:
             raise ConfigurationError(
                 f"min_length must be >= 1, got {min_length}"
             )
         if stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {stride}")
+        if n_lengths is not None and n_lengths < 1:
+            raise ConfigurationError(
+                f"n_lengths must be >= 1 or None, got {n_lengths}"
+            )
+        if max_shapelets < 1:
+            raise ConfigurationError(
+                f"max_shapelets must be >= 1, got {max_shapelets}"
+            )
         self.k = k
         self.min_length = min_length
         self.max_length = max_length
@@ -155,79 +378,34 @@ class EDSC(EarlyClassifier):
             lengths = [lengths[int(round(p))] for p in picks]
         return sorted(set(lengths))
 
-    def _score_candidate(
-        self,
-        pattern: np.ndarray,
-        label: int,
-        matrix: np.ndarray,
-        labels: np.ndarray,
-    ) -> Shapelet | None:
-        """Chebyshev threshold + utility for one candidate subsequence."""
-        window_distances = sliding_window_distances(pattern, matrix)
-        distances = window_distances.min(axis=1)
-        other = distances[labels != label]
-        if other.size == 0:
-            return None
-        spread = other.std()
-        threshold = max(float(other.mean() - self.k * spread), 0.0)
-        if threshold <= 0.0:
-            return None
-        matches = _earliest_positions_from(
-            window_distances, len(pattern), threshold
-        )
-        covered = matches > 0
-        if not covered.any():
-            return None
-        covered_same = covered & (labels == label)
-        precision = covered_same.sum() / covered.sum()
-        n_same = (labels == label).sum()
-        lengths = matrix.shape[1]
-        # Weighted recall: earlier matches on same-class series score more.
-        weighted = np.where(
-            covered_same, 1.0 - (matches - 1) / lengths, 0.0
-        ).sum() / max(n_same, 1)
-        if precision + weighted == 0:
-            return None
-        utility = 2.0 * precision * weighted / (precision + weighted)
-        return Shapelet(
-            pattern=pattern.copy(),
-            threshold=threshold,
-            label=int(label),
-            utility=float(utility),
-        )
+    def _ranked_candidates(
+        self, matrix: np.ndarray, labels: np.ndarray
+    ) -> list[tuple[Shapelet, np.ndarray]]:
+        """Every scored candidate with the rows it covers, by utility
+        (descending; ties keep (width, series, start) order)."""
+        candidates = [
+            candidate
+            for width in self._candidate_lengths(matrix.shape[1])
+            for candidate in _WidthTable(matrix, labels, width).score(
+                self.stride, self.k
+            )
+        ]
+        candidates.sort(key=lambda scored: scored[0].utility, reverse=True)
+        return candidates
 
     def _train(self, dataset: TimeSeriesDataset) -> None:
         matrix = validate_univariate(dataset)
         labels = dataset.labels
-        candidates: list[Shapelet] = []
-        for width in self._candidate_lengths(dataset.length):
-            for i in range(dataset.n_instances):
-                row = matrix[i]
-                for start in range(0, dataset.length - width + 1, self.stride):
-                    shapelet = self._score_candidate(
-                        row[start : start + width],
-                        int(labels[i]),
-                        matrix,
-                        labels,
-                    )
-                    if shapelet is not None:
-                        candidates.append(shapelet)
-        candidates.sort(key=lambda s: s.utility, reverse=True)
-
         # Greedy selection: keep adding the best shapelet until the whole
         # training set is covered (or candidates/cap run out).
         selected: list[Shapelet] = []
         covered = np.zeros(dataset.n_instances, dtype=bool)
-        for shapelet in candidates:
+        for shapelet, matched in self._ranked_candidates(matrix, labels):
             if covered.all() or len(selected) >= self.max_shapelets:
                 break
-            matches = _earliest_match_positions(
-                shapelet.pattern, matrix, shapelet.threshold
-            )
-            newly = (matches > 0) & ~covered
-            if newly.any():
+            if (matched & ~covered).any():
                 selected.append(shapelet)
-                covered |= matches > 0
+                covered |= matched
         self.shapelets_ = selected
         values, counts = np.unique(labels, return_counts=True)
         self._fallback_label = int(values[counts.argmax()])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import EXACT, KernelBackend, OpTolerance
 
-__all__ = ["NumpyBackend", "strided_windows"]
+__all__ = ["NumpyBackend", "direct_distances", "strided_windows"]
 
 
 def strided_windows(matrix: np.ndarray, width: int) -> np.ndarray:
@@ -43,6 +43,19 @@ def strided_windows(matrix: np.ndarray, width: int) -> np.ndarray:
         shape=(n_rows, length - width + 1, width),
         strides=(row_stride, column_stride, column_stride),
     )
+
+
+def direct_distances(windows: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each window of a ``(N, P, w)`` array to its
+    pattern (broadcast against it), by the direct form: the square root of
+    the ``einsum`` sum of squared differences over the last axis.
+
+    ``sliding_window`` and EDSC's exact recomputation of single
+    ``(pattern, window)`` pairs both call this, so a distance gathered as a
+    ``(1, K, w)`` batch is bitwise the one the strided table holds.
+    """
+    differences = windows - patterns
+    return np.sqrt(np.einsum("nij,nij->ni", differences, differences))
 
 
 class NumpyBackend(KernelBackend):
@@ -72,9 +85,9 @@ class NumpyBackend(KernelBackend):
 
     # -- window matching ------------------------------------------------
     def sliding_window(self, pattern, matrix):
-        windows = strided_windows(matrix, pattern.size)
-        differences = windows - pattern[None, None, :]
-        return np.sqrt(np.einsum("nij,nij->ni", differences, differences))
+        return direct_distances(
+            strided_windows(matrix, pattern.size), pattern[None, None, :]
+        )
 
     # -- prefix distances -----------------------------------------------
     def prefix_step(self, sq_distances, values, column):

@@ -155,6 +155,14 @@ class TestMissingValueGuard:
         with pytest.raises(DataError, match="fill_missing"):
             _StubEarly().train(dataset)
 
+    def test_training_on_infinities_rejected_with_the_count(self):
+        values = np.zeros((4, 8))
+        values[0, 3] = np.inf
+        values[2, 5] = -np.inf
+        dataset = TimeSeriesDataset(values, np.asarray([0, 1, 0, 1]))
+        with pytest.raises(DataError, match="2 infinite value"):
+            _StubEarly().train(dataset)
+
     def test_filled_dataset_trains(self):
         from repro.data import fill_missing
 

@@ -78,7 +78,16 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"k": 0.0}, {"min_length": 0}, {"stride": 0}],
+        [
+            {"k": 0.0},
+            {"min_length": 0},
+            {"stride": 0},
+            {"k": float("nan")},
+            {"k": float("inf")},
+            {"n_lengths": 0},
+            {"n_lengths": -2},
+            {"max_shapelets": 0},
+        ],
     )
     def test_bad_configuration_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
